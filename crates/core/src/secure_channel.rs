@@ -31,7 +31,7 @@ use doram_sim::snapshot::{
     get_opt_sim_error, put_opt_sim_error, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use doram_sim::{AppId, MemCycle, RequestId, RequestIdGen, SimError};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Fault-plan site base of the SD's per-sub-channel DRAM buses: sub `i`
 /// rolls site-scoped bursts at site `SD_SUB_SITE_BASE + i` (the shared
@@ -354,8 +354,11 @@ struct SdIntegrity {
     rebuild_groups: HashMap<u64, (RequestId, u32)>,
     next_group: u64,
     /// Bucket address → sub-channel that last served it (parity only;
-    /// the scrubber's work-discovery map).
-    owners: BTreeMap<u64, usize>,
+    /// the scrubber's work-discovery map). Written on every ORAM
+    /// completion but read only when a sub-channel quarantines, so a hash
+    /// map: order never matters (`mark_corrupt` copies into the sorted
+    /// `corrupt` set, snapshots sort).
+    owners: HashMap<u64, usize>,
     /// Buckets marked for scrub repair when their home sub quarantined,
     /// repaired in address order.
     corrupt: BTreeSet<u64>,
@@ -413,7 +416,7 @@ impl SdIntegrity {
             rebuild_shares: HashMap::new(),
             rebuild_groups: HashMap::new(),
             next_group: 0,
-            owners: BTreeMap::new(),
+            owners: HashMap::new(),
             corrupt: BTreeSet::new(),
             transitions: Vec::new(),
             now_hint: 0,
@@ -1661,8 +1664,10 @@ impl Snapshot for SdIntegrity {
             w.put_u32(left);
         }
         w.put_u64(*next_group);
+        let mut owners: Vec<(u64, usize)> = owners.iter().map(|(&a, &s)| (a, s)).collect();
+        owners.sort_unstable_by_key(|&(addr, _)| addr);
         w.put_usize(owners.len());
-        for (&addr, &sub) in owners {
+        for (addr, sub) in owners {
             w.put_u64(addr);
             w.put_usize(sub);
         }

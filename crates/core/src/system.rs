@@ -1292,14 +1292,11 @@ impl Simulation {
         }
     }
 
-    /// Samples the telemetry gauges into the recorder's time-series when
-    /// the sampling interval elapses. A single branch when tracing is off.
+    /// Samples the telemetry gauges into the recorder's time-series; the
+    /// run loop calls it at every multiple of the sampling interval.
     fn sample_metrics(&self, m: u64) {
         let Some(obs) = &self.obs else { return };
         let mut rec = obs.borrow_mut();
-        if !rec.metrics.due(m) {
-            return;
-        }
         rec.metrics.set("blocked_reads", self.mem.owners.len() as f64);
         match &self.mem.backend {
             Backend::Plain { fabric }
@@ -1438,7 +1435,6 @@ impl Simulation {
     ) -> Result<(RunReport, Vec<Vec<doram_dram::CommandRecord>>), SimError> {
         opts.validate(&self.cfg)?;
         let cap = self.cfg.max_mem_cycles;
-        let debug = std::env::var_os("DORAM_DEBUG").is_some();
         let ckpt_hash = config_hash(&self.cfg);
         // Claim this run's epoch up front: the marker is durably bumped
         // before any checkpoint carries it, so even a crash mid-run leaves
@@ -1463,6 +1459,11 @@ impl Simulation {
                 rec.prof.component("memory.tick"),
             )
         });
+        // Metrics sampling points are the multiples of the registry's
+        // interval, tracked as the next due cycle so a recorder costs no
+        // division or borrow on the other cycles.
+        let metrics_every = self.obs.as_ref().map(|obs| obs.borrow().metrics.every());
+        let mut next_metrics = metrics_every.map(|every| self.cycle.next_multiple_of(every));
         loop {
             let m = self.cycle;
             if m >= cap {
@@ -1499,38 +1500,6 @@ impl Simulation {
                     });
                 }
             }
-            if debug && m.is_multiple_of(50_000) {
-                let retired: Vec<u64> = self.cores.iter().map(|c| c.core.retired()).collect();
-                let oram = match &self.mem.backend {
-                    Backend::BaselineOram { fabric, fsm, oram_ids } => {
-                        let chs: Vec<String> = (0..fabric.len())
-                            .map(|i| match fabric.channel(i) {
-                                crate::channels::Channel::Direct(sc) => {
-                                    format!("ch{i}[{}]", sc.debug_state())
-                                }
-                                _ => String::new(),
-                            })
-                            .collect();
-                        format!(
-                            "oram real={} busy={} outstanding={} | {}",
-                            fsm.stats().real_accesses.get(),
-                            fsm.busy(),
-                            oram_ids.len(),
-                            chs.join(" ")
-                        )
-                    }
-                    Backend::DOram { secure, engine, .. } => format!(
-                        "sd real={} dummy={} eng sent={}/{} resp={}",
-                        secure.oram_stats().real_accesses.get(),
-                        secure.oram_stats().dummy_accesses.get(),
-                        engine.stats().real_sent.get(),
-                        engine.stats().dummies_sent.get(),
-                        engine.stats().responses.get(),
-                    ),
-                    _ => String::new(),
-                };
-                eprintln!("[m={m}] retired={retired:?} {oram}");
-            }
             let now = MemCycle(m);
             let prof_now = prof_ids
                 .filter(|_| doram_obs::SelfProfiler::sample_due(m))
@@ -1563,7 +1532,10 @@ impl Simulation {
                 rec.prof.charge(cpu_id, cpu_cost);
                 rec.prof.charge(mem_id, mem_cost);
             }
-            self.sample_metrics(m);
+            if next_metrics == Some(m) {
+                self.sample_metrics(m);
+                next_metrics = metrics_every.map(|every| m + every);
+            }
 
             // Deliver read completions to cores.
             for (core_idx, id) in std::mem::take(&mut self.mem.ready_reads) {

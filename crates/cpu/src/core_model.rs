@@ -139,6 +139,10 @@ pub struct TraceCore {
     /// Records ever pulled from `trace` (for checkpoint restore: a fresh
     /// iterator of the same trace is fast-forwarded by this many records).
     consumed: u64,
+    /// ROB entries that are reads still waiting for memory. Derived from
+    /// `rob` (kept equal to a recount by `fetch`/`complete_read`, rebuilt
+    /// by `load_state`), so `step` samples MLP without scanning the ROB.
+    outstanding: u64,
     stats: CoreStats,
 }
 
@@ -174,6 +178,7 @@ impl TraceCore {
             pending_access: None,
             trace_done: false,
             consumed: 0,
+            outstanding: 0,
             stats: CoreStats::default(),
         }
     }
@@ -204,12 +209,16 @@ impl TraceCore {
     /// Marks a previously issued read as resolved.
     ///
     /// Unknown ids are ignored (the memory system may complete dummy or
-    /// ORAM-internal requests through the same path).
+    /// ORAM-internal requests through the same path), and so are repeated
+    /// completions of an already resolved read.
     pub fn complete_read(&mut self, id: RequestId) {
         for e in self.rob.iter_mut() {
             if let RobEntry::Read { id: eid, done } = e {
                 if *eid == id {
-                    *done = true;
+                    if !*done {
+                        *done = true;
+                        self.outstanding -= 1;
+                    }
                     return;
                 }
             }
@@ -219,12 +228,7 @@ impl TraceCore {
     /// Advances the core by one CPU cycle: retire, then fetch.
     pub fn step(&mut self, port: &mut dyn MemoryPort) {
         self.stats.cycles.inc();
-        let outstanding = self
-            .rob
-            .iter()
-            .filter(|e| matches!(e, RobEntry::Read { done: false, .. }))
-            .count() as u64;
-        self.stats.outstanding_read_sum.add(outstanding);
+        self.stats.outstanding_read_sum.add(self.outstanding);
         self.retire(port);
         self.fetch(port);
     }
@@ -289,6 +293,7 @@ impl TraceCore {
                 AccessOp::Read => match port.try_read(rec.addr) {
                     Some(id) => {
                         self.rob.push_back(RobEntry::Read { id, done: false });
+                        self.outstanding += 1;
                         self.stats.reads_issued.inc();
                         self.pending_access = None;
                     }
@@ -321,6 +326,7 @@ impl TraceCore {
             pending_access,
             trace_done,
             consumed,
+            outstanding: _, // derived from `rob`; rebuilt on load
             stats,
         } = self;
         w.put_u64(*consumed);
@@ -365,6 +371,7 @@ impl TraceCore {
         for _ in 0..r.get_usize()? {
             self.rob.push_back(get_rob_entry(r)?);
         }
+        self.outstanding = self.outstanding_reads().count() as u64;
         self.gap_left = r.get_u64()?;
         self.pending_access = if r.get_bool()? {
             Some(get_trace_record(r)?)
@@ -642,5 +649,87 @@ mod tests {
     fn debug_is_nonempty() {
         let core = TraceCore::new(CoreConfig::default(), trace(vec![]));
         assert!(format!("{core:?}").contains("TraceCore"));
+    }
+
+    fn xorshift(s: &mut u64) -> u64 {
+        *s ^= *s << 13;
+        *s ^= *s >> 7;
+        *s ^= *s << 17;
+        *s
+    }
+
+    fn recount(core: &TraceCore) -> u64 {
+        core.outstanding_reads().count() as u64
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The outstanding-read counter equals a ROB recount after every
+        /// step and across a checkpoint round trip, and each step's MLP
+        /// sample is that recount, whatever the port refuses and however
+        /// completions arrive: in random order, repeated, or for ids the
+        /// core never issued.
+        #[test]
+        fn outstanding_counter_matches_rob_recount(
+            recs in prop::collection::vec((0u64..6, any::<bool>(), 0u64..64), 1..120),
+            seed in any::<u64>(),
+            rob_size in 1usize..16,
+        ) {
+            let recs: Vec<TraceRecord> = recs
+                .into_iter()
+                .map(|(gap, w, line)| {
+                    rec(gap, if w { AccessOp::Write } else { AccessOp::Read }, line * 64)
+                })
+                .collect();
+            let instructions: u64 = recs.iter().map(|r| r.instructions()).sum();
+            let cfg = CoreConfig { rob_size, ..CoreConfig::default() };
+            let mut core = TraceCore::new(cfg, trace(recs.clone()));
+            let mut port = TestPort::new();
+            let mut rng = seed | 1;
+            let mut cycles = 0u64;
+            while !core.finished() {
+                prop_assert!(cycles < 50_000, "liveness");
+                cycles += 1;
+                port.accept_reads = !xorshift(&mut rng).is_multiple_of(4);
+                port.accept_writes = !xorshift(&mut rng).is_multiple_of(4);
+                for _ in 0..xorshift(&mut rng) % 3 {
+                    let pending: Vec<RequestId> = core.outstanding_reads().collect();
+                    let id = match xorshift(&mut rng) % 4 {
+                        0 => RequestId(1_000_000 + xorshift(&mut rng) % 8),
+                        1 if !port.reads.is_empty() => {
+                            port.reads[(xorshift(&mut rng) % port.reads.len() as u64) as usize].0
+                        }
+                        _ if !pending.is_empty() => {
+                            pending[(xorshift(&mut rng) % pending.len() as u64) as usize]
+                        }
+                        _ => continue,
+                    };
+                    core.complete_read(id);
+                    prop_assert_eq!(core.outstanding, recount(&core));
+                }
+                let expected = recount(&core);
+                let sum_before = core.stats().outstanding_read_sum.get();
+                core.step(&mut port);
+                prop_assert_eq!(core.stats().outstanding_read_sum.get() - sum_before, expected);
+                prop_assert_eq!(core.outstanding, recount(&core));
+                if xorshift(&mut rng).is_multiple_of(32) {
+                    let mut w = SnapshotWriter::new();
+                    core.save_state(&mut w);
+                    let bytes = w.into_bytes();
+                    let mut restored = TraceCore::new(cfg, trace(vec![]));
+                    restored
+                        .load_state(&mut SnapshotReader::new(&bytes), trace(recs.clone()))
+                        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+                    prop_assert_eq!(restored.outstanding, recount(&restored));
+                    prop_assert_eq!(restored.outstanding, core.outstanding);
+                    core = restored;
+                }
+            }
+            prop_assert_eq!(core.retired(), instructions);
+            prop_assert_eq!(core.outstanding, 0);
+        }
     }
 }

@@ -494,7 +494,7 @@ impl SubChannel {
         // hard veto can deadlock against row-buffer state (a starved
         // request pinning a row everyone else needs).
         let preferred = {
-            let queue = if serve_writes { &self.write_q } else { &self.read_q };
+            let queue = self.queue(serve_writes);
             let oram_waiting = queue.iter().any(|p| p.req.class == RequestClass::Oram);
             let normal_waiting = queue.iter().any(|p| p.req.class == RequestClass::Normal);
             self.cfg.arbiter.preferred_at(now, oram_waiting, normal_waiting)
@@ -507,7 +507,7 @@ impl SubChannel {
         // row-buffer state).
         let starved = self.stall_cycles > 2 * self.cfg.timing.t_rc;
         let hit_idx = {
-            let queue = if serve_writes { &self.write_q } else { &self.read_q };
+            let queue = self.queue(serve_writes);
             let ready = |p: &Pending| {
                 self.banks[p.bank].can_column(p.row, now) && self.column_allowed(p.req.op, now)
             };
@@ -529,63 +529,82 @@ impl SubChannel {
         }
 
         // Pass 2: row management for the oldest serviceable request (FCFS
-        // part), visiting the preferred class's requests first. The first
-        // request whose bank can make progress gets it.
+        // part), visiting the preferred class's requests first, each class
+        // in age order. The first request whose bank can make progress
+        // gets it.
+        let len = self.queue(serve_writes).len();
+        match preferred {
+            Some(class) => {
+                for want_preferred in [true, false] {
+                    for i in 0..len {
+                        let is_preferred = self.queue(serve_writes)[i].req.class == class;
+                        if is_preferred == want_preferred && self.manage_row(serve_writes, i, now) {
+                            return;
+                        }
+                    }
+                }
+            }
+            None => {
+                for i in 0..len {
+                    if self.manage_row(serve_writes, i, now) {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Performs row management (PRE on a conflict, ACT on a closed bank)
+    /// on behalf of queued request `i` of the active queue, if its bank
+    /// can make progress this cycle. Returns whether a command issued.
+    fn manage_row(&mut self, serve_writes: bool, i: usize, now: MemCycle) -> bool {
         let t = self.cfg.timing;
-        let order: Vec<usize> = {
-            let queue = if serve_writes { &self.write_q } else { &self.read_q };
-            match preferred {
-                Some(class) => {
-                    let (pref, rest): (Vec<usize>, Vec<usize>) =
-                        (0..queue.len()).partition(|&i| queue[i].req.class == class);
-                    pref.into_iter().chain(rest).collect()
-                }
-                None => (0..queue.len()).collect(),
-            }
+        let (bank_idx, row) = {
+            let p = &self.queue(serve_writes)[i];
+            (p.bank, p.row)
         };
-        for i in order {
-            let (bank_idx, row) = {
-                let p = if serve_writes {
-                    &self.write_q[i]
-                } else {
-                    &self.read_q[i]
-                };
-                (p.bank, p.row)
-            };
-            match self.banks[bank_idx].open_row() {
-                Some(open) if open == row => continue, // waits on tRCD/tCCD/bus
-                Some(open) => {
-                    // Conflict: precharge, unless a request in the
-                    // *currently served* queue still wants the open row
-                    // (keep it open — FR-FCFS). Only the active queue
-                    // counts: honoring the idle queue's row wishes can
-                    // deadlock (the write would pin a row that read
-                    // service never releases).
-                    let active: &VecDeque<Pending> = if serve_writes {
-                        &self.write_q
-                    } else {
-                        &self.read_q
-                    };
-                    let hit_wanted = active.iter().any(|q| q.bank == bank_idx && q.row == open);
-                    if !hit_wanted && self.banks[bank_idx].can_precharge(now) {
-                        self.banks[bank_idx].precharge(now, &t);
-                        self.stats.precharges.inc();
-                        self.record_command(now, DeviceCommand::Precharge, bank_idx, open);
-                        self.mark_managed(serve_writes, i);
-                        return;
-                    }
+        match self.banks[bank_idx].open_row() {
+            Some(open) if open == row => false, // waits on tRCD/tCCD/bus
+            Some(open) => {
+                // Conflict: precharge, unless a request in the
+                // *currently served* queue still wants the open row
+                // (keep it open — FR-FCFS). Only the active queue
+                // counts: honoring the idle queue's row wishes can
+                // deadlock (the write would pin a row that read
+                // service never releases).
+                let hit_wanted = self
+                    .queue(serve_writes)
+                    .iter()
+                    .any(|q| q.bank == bank_idx && q.row == open);
+                if hit_wanted || !self.banks[bank_idx].can_precharge(now) {
+                    return false;
                 }
-                None => {
-                    if self.banks[bank_idx].can_activate(now) && self.activate_allowed(now) {
-                        self.banks[bank_idx].activate(row, now, &t);
-                        self.note_activate(now);
-                        self.stats.activates.inc();
-                        self.record_command(now, DeviceCommand::Activate, bank_idx, row);
-                        self.mark_managed(serve_writes, i);
-                        return;
-                    }
-                }
+                self.banks[bank_idx].precharge(now, &t);
+                self.stats.precharges.inc();
+                self.record_command(now, DeviceCommand::Precharge, bank_idx, open);
+                self.mark_managed(serve_writes, i);
+                true
             }
+            None => {
+                if !(self.banks[bank_idx].can_activate(now) && self.activate_allowed(now)) {
+                    return false;
+                }
+                self.banks[bank_idx].activate(row, now, &t);
+                self.note_activate(now);
+                self.stats.activates.inc();
+                self.record_command(now, DeviceCommand::Activate, bank_idx, row);
+                self.mark_managed(serve_writes, i);
+                true
+            }
+        }
+    }
+
+    /// The write queue while draining, the read queue otherwise.
+    fn queue(&self, writes: bool) -> &VecDeque<Pending> {
+        if writes {
+            &self.write_q
+        } else {
+            &self.read_q
         }
     }
 
@@ -1123,6 +1142,70 @@ mod tests {
         assert!(
             (share - 0.5).abs() < 0.12,
             "ORAM share {share} should be near the 50% threshold"
+        );
+    }
+
+    /// Runs normal reads to `warm` until their rows are open and tRAS has
+    /// passed, queues `queue` (class, address) in order, and returns the
+    /// first device command the scheduler issues for them.
+    fn first_row_command(
+        arbiter: ShareArbiter,
+        warm: &[u64],
+        queue: &[(RequestClass, u64)],
+    ) -> (DeviceCommand, usize) {
+        let mut sc = SubChannel::new(SubChannelConfig {
+            arbiter,
+            ..SubChannelConfig::default()
+        });
+        for (i, &addr) in warm.iter().enumerate() {
+            sc.enqueue(req(i as u64, MemOp::Read, addr, 0)).unwrap();
+        }
+        let mut done = Vec::new();
+        for c in 0..100 {
+            sc.tick(MemCycle(c), &mut done);
+        }
+        assert_eq!(done.len(), warm.len());
+        for (i, &(class, addr)) in queue.iter().enumerate() {
+            let mut r = req(100 + i as u64, MemOp::Read, addr, 100);
+            r.class = class;
+            sc.enqueue(r).unwrap();
+        }
+        sc.enable_command_trace();
+        sc.tick(MemCycle(100), &mut done);
+        let trace = sc.take_command_trace();
+        assert_eq!(trace.len(), 1, "one command per cycle: {trace:?}");
+        (trace[0].command, trace[0].bank)
+    }
+
+    #[test]
+    fn row_management_visits_preferred_class_first() {
+        use RequestClass::{Normal, Oram};
+        // Closed banks 0, 1, 2 (8 KB apart): an ACT each is possible, and
+        // the ORAM request is the youngest.
+        let acts = [(Normal, 0), (Normal, 8192), (Oram, 16384)];
+        assert_eq!(
+            first_row_command(ShareArbiter::oram_priority(), &[], &acts),
+            (DeviceCommand::Activate, 2),
+            "preferred class first"
+        );
+        assert_eq!(
+            first_row_command(ShareArbiter::disabled(), &[], &acts),
+            (DeviceCommand::Activate, 0),
+            "no preference: oldest first"
+        );
+        // Row 0 open in banks 0 and 2; both requests want row 1 (64 KB on)
+        // and need a PRE.
+        let warm = [0, 16384];
+        let pres = [(Normal, 65536), (Oram, 65536 + 16384)];
+        assert_eq!(
+            first_row_command(ShareArbiter::oram_priority(), &warm, &pres),
+            (DeviceCommand::Precharge, 2),
+            "preferred class first"
+        );
+        assert_eq!(
+            first_row_command(ShareArbiter::disabled(), &warm, &pres),
+            (DeviceCommand::Precharge, 0),
+            "no preference: oldest first"
         );
     }
 

@@ -59,6 +59,110 @@ impl Opts {
     fn has_flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Rejects every option `cmd` does not read, naming the first one, so
+    /// a misspelled or stale option fails instead of silently running with
+    /// defaults. A known option must also come in its known shape: `--key
+    /// value` for keys, a bare `--flag` for flags.
+    fn check_known(&self, cmd: &str, accepts: &[Accepts]) -> Result<(), String> {
+        let is_key = |k: &str| accepts.iter().any(|a| a.keys.contains(&k));
+        let is_flag = |k: &str| accepts.iter().any(|a| a.flags.contains(&k));
+        for (k, _) in &self.pairs {
+            if is_flag(k) {
+                return Err(format!("--{k} is a flag and takes no value"));
+            }
+            if !is_key(k) {
+                return Err(format!("unknown option '--{k}' for `{cmd}`"));
+            }
+        }
+        for k in &self.flags {
+            if is_key(k) {
+                return Err(format!("--{k} expects a value"));
+            }
+            if !is_flag(k) {
+                return Err(format!("unknown option '--{k}' for `{cmd}`"));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The options one reader of [`Opts`] consumes: `--key value` pairs and
+/// bare `--flag`s.
+#[derive(Debug, Clone, Copy)]
+struct Accepts {
+    keys: &'static [&'static str],
+    flags: &'static [&'static str],
+}
+
+impl Accepts {
+    const NONE: Accepts = Accepts::keys(&[]);
+
+    const fn keys(keys: &'static [&'static str]) -> Accepts {
+        Accepts { keys, flags: &[] }
+    }
+}
+
+/// What [`build_config`] reads.
+const CONFIG_OPTS: Accepts = Accepts {
+    keys: &[
+        "bench",
+        "scheme",
+        "k",
+        "c",
+        "accesses",
+        "seed",
+        "scrub-every",
+        "probation-window",
+        "probation-successes",
+        "dummy-interval",
+        "chaos-sub",
+        "chaos-at",
+        "adversary",
+        "adversary-sub",
+        "adversary-at",
+        "adversary-ppm",
+    ],
+    flags: &["merge", "pipeline", "parity"],
+};
+
+/// What [`parse_run_options`] reads.
+const RUN_OPTS: Accepts =
+    Accepts::keys(&["checkpoint-every", "checkpoint-dir", "watchdog", "ckpt-key"]);
+
+/// What [`parse_obs_options`] reads.
+const OBS_OPTS: Accepts = Accepts::keys(&[
+    "trace-out",
+    "obs-out",
+    "prom-out",
+    "trace-filter",
+    "metrics-every",
+    "metrics-window",
+    "trace-ring",
+]);
+
+/// What [`cmd_run`] reads itself.
+const OUTPUT_OPTS: Accepts = Accepts {
+    keys: &["resume", "out"],
+    flags: &["json"],
+};
+
+/// What `sweep-c` and `profile` read.
+const SCALE_OPTS: Accepts = Accepts::keys(&["bench", "accesses", "seed"]);
+
+/// What `check` reads.
+const CHECK_OPTS: Accepts = Accepts::keys(&["accesses", "seed"]);
+
+/// The options each `--key`-style subcommand accepts; `None` for an
+/// unknown subcommand.
+fn accepted_options(cmd: &str) -> Option<&'static [Accepts]> {
+    Some(match cmd {
+        "run" => &[CONFIG_OPTS, RUN_OPTS, OBS_OPTS, OUTPUT_OPTS],
+        "sweep-c" | "profile" => &[SCALE_OPTS],
+        "check" => &[CHECK_OPTS],
+        "list" => &[Accepts::NONE],
+        _ => return None,
+    })
 }
 
 fn parse_benchmark(opts: &Opts) -> Result<Benchmark, String> {
@@ -512,6 +616,22 @@ fn cmd_profile(opts: &Opts) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
+fn cmd_check(opts: &Opts) -> Result<(), Box<dyn Error>> {
+    use doram::core::experiments::{validation, Scale};
+    let scale = Scale {
+        ns_accesses: opts.get_u64("accesses", 800)?,
+        seed: opts.get_u64("seed", 1)?,
+        benchmarks: Scale::from_env().benchmarks,
+    };
+    let card = validation::validate(&scale)?;
+    println!("{}", card.render());
+    if card.structural_ok() {
+        Ok(())
+    } else {
+        Err("structural claims failed".into())
+    }
+}
+
 const TRACE_USAGE: &str = "usage: doram-cli trace <summarize|validate> FILE [--min-accesses N]";
 
 /// `doram-cli trace summarize FILE` / `trace validate FILE`: offline
@@ -521,6 +641,11 @@ fn cmd_trace(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Err(TRACE_USAGE.into());
     };
     let opts = Opts::parse(&args[2..])?;
+    let accepts = match sub.as_str() {
+        "validate" => Accepts::keys(&["min-accesses"]),
+        _ => Accepts::NONE,
+    };
+    opts.check_known(&format!("trace {sub}"), &[accepts])?;
     let path = Path::new(file);
     match sub.as_str() {
         "summarize" => {
@@ -574,6 +699,14 @@ fn cmd_obs(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Err(OBS_USAGE.into());
     };
     let path = Path::new(file);
+    // `compare` takes a second file before its options.
+    let first_opt = if sub == "compare" { 3 } else { 2 };
+    let opts = Opts::parse(args.get(first_opt..).unwrap_or_default())?;
+    let accepts = match sub.as_str() {
+        "compare" => Accepts::keys(&["tolerance-pct"]),
+        _ => Accepts::NONE,
+    };
+    opts.check_known(&format!("obs {sub}"), &[accepts])?;
     match sub.as_str() {
         "report" => {
             let text = std::fs::read_to_string(path)?;
@@ -607,7 +740,6 @@ fn cmd_obs(args: &[String]) -> Result<(), Box<dyn Error>> {
             let Some(current) = args.get(2) else {
                 return Err(format!("obs compare needs BASELINE and CURRENT files\n{OBS_USAGE}").into());
             };
-            let opts = Opts::parse(&args[3..])?;
             let tol: f64 = match opts.get("tolerance-pct") {
                 None => 0.0,
                 Some(v) => v
@@ -791,7 +923,12 @@ fn main() -> ExitCode {
             }
         };
     }
-    let opts = match Opts::parse(&args[1..]) {
+    let Some(accepts) = accepted_options(cmd) else {
+        eprintln!("unknown command '{cmd}'\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let parsed = Opts::parse(&args[1..]).and_then(|o| o.check_known(cmd, accepts).map(|()| o));
+    let opts = match parsed {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n{USAGE}");
@@ -806,25 +943,8 @@ fn main() -> ExitCode {
             cmd_list();
             Ok(())
         }
-        "check" => {
-            use doram::core::experiments::{validation, Scale};
-            let scale = Scale {
-                ns_accesses: opts.get_u64("accesses", 800).unwrap_or(800),
-                seed: opts.get_u64("seed", 1).unwrap_or(1),
-                benchmarks: Scale::from_env().benchmarks,
-            };
-            match validation::validate(&scale) {
-                Ok(card) => {
-                    println!("{}", card.render());
-                    if card.structural_ok() { Ok(()) } else { Err("structural claims failed".into()) }
-                }
-                Err(e) => Err(Box::new(e) as Box<dyn Error>),
-            }
-        }
-        other => {
-            eprintln!("unknown command '{other}'\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        "check" => cmd_check(&opts),
+        _ => unreachable!("accepted_options knows every command"),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -857,6 +977,47 @@ mod tests {
     #[test]
     fn rejects_positional_arguments() {
         assert!(Opts::parse(&["oops".to_string()]).is_err());
+    }
+
+    #[test]
+    fn rejects_options_a_subcommand_does_not_read() {
+        let run = accepted_options("run").unwrap();
+        let err = opts(&["--accesses", "5", "--ns-accesses", "5"])
+            .check_known("run", run)
+            .unwrap_err();
+        assert!(err.contains("'--ns-accesses'"), "{err}");
+        // Keys need a value and flags take none.
+        let err = opts(&["--accesses", "--json"]).check_known("run", run).unwrap_err();
+        assert!(err.contains("--accesses expects a value"), "{err}");
+        assert!(opts(&["--merge", "yes"]).check_known("run", run).is_err());
+        // A `run` option means nothing to the other subcommands.
+        for cmd in ["sweep-c", "profile", "check", "list"] {
+            let accepts = accepted_options(cmd).unwrap();
+            assert!(opts(&["--parity"]).check_known(cmd, accepts).is_err(), "{cmd}");
+        }
+        opts(&["--bench", "libq", "--accesses", "9", "--seed", "2"])
+            .check_known("sweep-c", accepted_options("sweep-c").unwrap())
+            .unwrap();
+        assert!(accepted_options("nope").is_none());
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_run_options() {
+        // The `run` part of USAGE ends where the trace/obs lines begin.
+        let run_usage = USAGE.split("doram-cli trace").next().unwrap();
+        let documented: Vec<&str> = run_usage
+            .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+            .filter_map(|w| w.strip_prefix("--"))
+            .collect();
+        let run = accepted_options("run").unwrap();
+        let accepted: Vec<&str> =
+            run.iter().flat_map(|a| a.keys.iter().chain(a.flags)).copied().collect();
+        for key in &documented {
+            assert!(accepted.contains(key), "USAGE documents --{key}, which run rejects");
+        }
+        for key in &accepted {
+            assert!(documented.contains(key), "run accepts --{key}, which USAGE omits");
+        }
     }
 
     #[test]
