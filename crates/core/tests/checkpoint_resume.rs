@@ -135,3 +135,121 @@ proptest! {
         check_resume_identity(&format!("faulty-{every}-{pick}"), true, every, pick);
     }
 }
+
+/// Memory cycle of the checkpoint whose payload the format pin hashes.
+const PIN_CYCLE: u64 = 6_000;
+
+/// The command-line tool's `--adversary mix` plan (seed 1, sub-channel 0,
+/// onset 2 000 so the bursts land before [`PIN_CYCLE`]): replay,
+/// relocation and rollback bursts, staggered 4k cycles apart.
+fn mixed_adversary() -> FaultPlan {
+    use doram_core::secure_channel::SD_SUB_SITE_BASE;
+    use doram_sim::fault::{AdversaryBurst, AdversaryPlan, FaultKind};
+    let kinds = [
+        FaultKind::ReplayStale,
+        FaultKind::RelocateBucket,
+        FaultKind::RollbackBurst,
+    ];
+    let mut plan = AdversaryPlan::new(1).jitter(400);
+    for (i, kind) in (0u64..).zip(kinds) {
+        plan = plan.burst(AdversaryBurst {
+            site: SD_SUB_SITE_BASE,
+            kind,
+            start: doram_sim::MemCycle(2_000 + i * 4_000),
+            len: 3_000,
+            period: 12_000,
+            repeats: 50,
+            ppm: 30_000,
+        });
+    }
+    plan.validate().unwrap();
+    plan.compile()
+}
+
+/// The pinned configurations: every backend flavor, the hardest D-ORAM
+/// state (parity, scrubbing, freshness tree under attack), and whether to
+/// run with the trace recorder attached.
+fn pinned_configs() -> Vec<(&'static str, SystemConfig, bool)> {
+    let small = |scheme| {
+        SystemConfig::builder(Benchmark::Libq)
+            .scheme(scheme)
+            .ns_accesses(400)
+            .tree_l_max(12)
+            .seed(1)
+    };
+    let attacked = || {
+        small(Scheme::DOram { k: 0, c: 7 })
+            .parity(true)
+            .scrub_every(1_000)
+            .fault_plan(mixed_adversary())
+            .build()
+            .unwrap()
+    };
+    vec![
+        ("7ns-4ch", small(Scheme::Ns7on4).build().unwrap(), false),
+        ("baseline", small(Scheme::Baseline).build().unwrap(), false),
+        ("secmem", small(Scheme::SecureMemory).build().unwrap(), false),
+        ("doram-k1-c4", small(Scheme::DOram { k: 1, c: 4 }).build().unwrap(), false),
+        ("doram-k0-c7-attacked", attacked(), false),
+        ("doram-k0-c7-attacked-traced", attacked(), true),
+    ]
+}
+
+/// FNV-1a 64 of the checkpoint payload at [`PIN_CYCLE`] for each pinned
+/// configuration.
+fn pinned_payload_hashes() -> Vec<(&'static str, u64)> {
+    pinned_configs()
+        .into_iter()
+        .map(|(name, cfg, traced)| {
+            let dir = fresh_dir(&format!("pin-{name}"));
+            let mut sim = Simulation::new(cfg).unwrap();
+            if traced {
+                sim.enable_tracing(4_096, doram_obs::FILTER_ALL, 500);
+            }
+            let opts = RunOptions {
+                checkpoint_every: Some(PIN_CYCLE),
+                checkpoint_dir: Some(dir.clone()),
+                ..RunOptions::default()
+            };
+            sim.run_with(&opts).unwrap();
+            let first = checkpoints(&dir)
+                .into_iter()
+                .next()
+                .unwrap_or_else(|| panic!("{name}: run ended before cycle {PIN_CYCLE}"));
+            let data = doram_sim::snapshot::read_checkpoint(&first).unwrap();
+            assert_eq!(data.cycle, PIN_CYCLE, "{name}: first checkpoint cycle");
+            let _ = std::fs::remove_dir_all(&dir);
+            (name, doram_sim::snapshot::fnv1a64(&data.payload))
+        })
+        .collect()
+}
+
+/// Pins the checkpoint encoding: a refactor of the snapshot code must
+/// reproduce these payloads byte for byte, or else bump the version.
+#[test]
+fn checkpoint_payload_format_is_pinned() {
+    const PINNED: [(&str, u64); 6] = [
+        ("7ns-4ch", 0x17e9_807b_3c9c_0e2f),
+        ("baseline", 0x07bf_0f4b_d3e2_0c04),
+        ("secmem", 0x4861_12ac_3a4c_dc1c),
+        ("doram-k1-c4", 0x50ef_85a6_00ba_ce36),
+        ("doram-k0-c7-attacked", 0x0316_72cb_050a_9dbd),
+        ("doram-k0-c7-attacked-traced", 0x088b_2d66_b152_e530),
+    ];
+    assert_eq!(doram_sim::snapshot::CHECKPOINT_VERSION, 5);
+    let got = pinned_payload_hashes();
+    let want: Vec<(&str, u64)> = PINNED.to_vec();
+    let show = |v: &[(&str, u64)]| {
+        v.iter()
+            .map(|(n, h)| format!("(\"{n}\", {h:#018x})"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    assert!(
+        got == want,
+        "checkpoint payload hashes changed; bump CHECKPOINT_VERSION if the encoding changed\n \
+         got:    [{}]\n pinned: [{}]",
+        show(&got),
+        show(&want)
+    );
+}
