@@ -6,14 +6,11 @@
 //! on parity rebuilds (instead of fail-stopping) is tracked PR-over-PR.
 //! Simulated-cycle numbers are deterministic for a fixed seed; the wall
 //! times are host-dependent context only.
-use doram_core::{Scheme, Simulation, SystemConfig};
+use doram_core::secure_channel::SD_SUB_SITE_BASE;
+use doram_core::Simulation;
 use doram_sim::fault::{FaultPlan, FaultRates, FaultWindow};
 use doram_sim::MemCycle;
 use std::time::Instant;
-
-/// Site of secure sub-channel `i`'s fault overlay (mirrors
-/// `doram_core::secure_channel::SD_SUB_SITE_BASE`).
-const SD_SUB_SITE_BASE: u64 = 0x5D10;
 
 struct Sample {
     label: &'static str,
@@ -74,16 +71,7 @@ fn run_one(
     scale: &doram_core::experiments::Scale,
     plan: FaultPlan,
 ) -> Result<Sample, doram_core::system::SimError> {
-    let cfg = SystemConfig::builder(bench)
-        .scheme(Scheme::DOram { k: 0, c: 7 })
-        .ns_accesses(scale.ns_accesses)
-        .seed(scale.seed)
-        .tree_l_max(12)
-        .parity(true)
-        .scrub_every(5_000)
-        .fault_plan(plan)
-        .build()
-        .expect("valid config");
+    let cfg = doram_bench::hardened_doram(bench, scale, plan);
     let start = Instant::now();
     let r = Simulation::new(cfg).expect("valid sim").run()?;
     let oram = r.oram.as_ref().expect("D-ORAM has an ORAM summary");
@@ -166,11 +154,7 @@ fn main() {
             cycles_pct,
             latency_pct,
         );
-        let path = std::env::var("DORAM_BENCH_OUT")
-            .map(|dir| std::path::Path::new(&dir).join("BENCH_degraded.json"))
-            .unwrap_or_else(|_| std::path::PathBuf::from("BENCH_degraded.json"));
-        doram_sim::snapshot::write_atomic(&path, json.as_bytes()).expect("write baseline");
-        eprintln!("[degraded_baseline] wrote {}", path.display());
+        doram_bench::write_bench_json("degraded_baseline", "BENCH_degraded.json", &json);
 
         let mut out = format!("Degraded-mode baseline, {bench} (one sub-channel quarantined)\n\n");
         for s in [&healthy, &degraded] {

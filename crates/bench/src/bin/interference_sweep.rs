@@ -103,11 +103,7 @@ fn main() {
             );
         }
         json.push_str("]}\n");
-        let path = std::env::var("DORAM_BENCH_OUT")
-            .map(|dir| std::path::Path::new(&dir).join("BENCH_interference.json"))
-            .unwrap_or_else(|_| std::path::PathBuf::from("BENCH_interference.json"));
-        doram_sim::snapshot::write_atomic(&path, json.as_bytes()).expect("write baseline");
-        eprintln!("[interference_sweep] wrote {}", path.display());
+        doram_bench::write_bench_json("interference_sweep", "BENCH_interference.json", &json);
 
         let mut out = format!("Interference sweep, {bench} (blame cycles by requestor class)\n\n");
         let class_names: Vec<&str> = doram_obs::ALL_BLAME_CLASSES

@@ -10,6 +10,9 @@
 //! * `DORAM_BENCH` — comma-separated benchmark subset (default: all 15).
 
 use doram_core::experiments::Scale;
+use doram_core::{Scheme, SystemConfig};
+use doram_sim::fault::FaultPlan;
+use doram_trace::Benchmark;
 use std::time::Instant;
 
 /// Writes `csv` to `$DORAM_CSV/<exhibit>.csv` when the variable is set.
@@ -25,6 +28,40 @@ pub fn maybe_write_csv(exhibit: &str, csv: &str) {
         doram_sim::snapshot::write_atomic(&path, csv.as_bytes()).expect("write CSV");
         eprintln!("[{exhibit}] wrote {}", path.display());
     }
+}
+
+/// Writes a `BENCH_*.json` baseline into `$DORAM_BENCH_OUT` (default: the
+/// working directory), crash-consistently, and announces the path.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written (the baseline is the output).
+pub fn write_bench_json(exhibit: &str, file_name: &str, json: &str) {
+    let path = std::env::var("DORAM_BENCH_OUT")
+        .map(|dir| std::path::Path::new(&dir).join(file_name))
+        .unwrap_or_else(|_| std::path::PathBuf::from(file_name));
+    doram_sim::snapshot::write_atomic(&path, json.as_bytes()).expect("write baseline");
+    eprintln!("[{exhibit}] wrote {}", path.display());
+}
+
+/// The hardened D-ORAM configuration the degraded-mode and adversary
+/// baselines share: k = 0, c = 7 on a 12-level tree, with parity and a
+/// scrub every 5 000 cycles, under `plan`.
+///
+/// # Panics
+///
+/// Panics if `plan` makes the configuration invalid.
+pub fn hardened_doram(bench: Benchmark, scale: &Scale, plan: FaultPlan) -> SystemConfig {
+    SystemConfig::builder(bench)
+        .scheme(Scheme::DOram { k: 0, c: 7 })
+        .ns_accesses(scale.ns_accesses)
+        .seed(scale.seed)
+        .tree_l_max(12)
+        .parity(true)
+        .scrub_every(5_000)
+        .fault_plan(plan)
+        .build()
+        .expect("valid config")
 }
 
 /// Resolves the sweep scale from the environment and announces it.

@@ -10,6 +10,7 @@ use crate::packet::PacketKind;
 use doram_dram::{Completion, MemOp, MemRequest, SubChannel, SubChannelConfig};
 use doram_obs::SharedRecorder;
 use doram_sim::fault::{FaultCounts, FaultPlan};
+use doram_sim::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{MemCycle, SimError};
 use std::collections::VecDeque;
 
@@ -303,33 +304,31 @@ impl BobChannel {
     }
 }
 
-fn put_channel_msg(msg: &ChannelMsg, w: &mut doram_sim::snapshot::SnapshotWriter) {
-    match msg {
-        ChannelMsg::Request(r) => {
-            w.put_u8(0);
-            doram_dram::request::put_mem_request(w, r);
+impl Codec for ChannelMsg {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match self {
+            ChannelMsg::Request(req) => {
+                w.put_u8(0);
+                w.put(req);
+            }
+            ChannelMsg::Response(c) => {
+                w.put_u8(1);
+                w.put(c);
+            }
         }
-        ChannelMsg::Response(c) => {
-            w.put_u8(1);
-            doram_dram::request::put_completion(w, c);
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.get_u8()? {
+            0 => Ok(ChannelMsg::Request(r.get()?)),
+            1 => Ok(ChannelMsg::Response(r.get()?)),
+            tag => Err(SnapshotError::new(format!("unknown ChannelMsg tag {tag}"))),
         }
     }
 }
 
-fn get_channel_msg(
-    r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-) -> Result<ChannelMsg, doram_sim::snapshot::SnapshotError> {
-    match r.get_u8()? {
-        0 => Ok(ChannelMsg::Request(doram_dram::request::get_mem_request(r)?)),
-        1 => Ok(ChannelMsg::Response(doram_dram::request::get_completion(r)?)),
-        tag => Err(doram_sim::snapshot::SnapshotError::new(format!(
-            "unknown ChannelMsg tag {tag}"
-        ))),
-    }
-}
-
-impl doram_sim::snapshot::Snapshot for BobChannel {
-    fn save_state(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
+impl Snapshot for BobChannel {
+    fn save_state(&self, w: &mut SnapshotWriter) {
         let BobChannel {
             link,
             subs,
@@ -340,48 +339,19 @@ impl doram_sim::snapshot::Snapshot for BobChannel {
             obs: _,          // re-wired by the host after restore
             mc_blame_res: _, // ditto
         } = self;
-        link.save_state_with(w, put_channel_msg);
-        w.put_usize(subs.len());
-        for s in subs {
-            s.save_state(w);
-        }
-        w.put_usize(mc_pending.len());
-        for req in mc_pending {
-            doram_dram::request::put_mem_request(w, req);
-        }
-        w.put_usize(resp_pending.len());
-        for c in resp_pending {
-            doram_dram::request::put_completion(w, c);
-        }
-        doram_sim::snapshot::put_opt_sim_error(w, fault);
+        link.save_state(w);
+        subs.save_state(w);
+        w.put(mc_pending);
+        w.put(resp_pending);
+        w.put(fault);
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.link.load_state_with(r, get_channel_msg)?;
-        let subs = r.get_usize()?;
-        if subs != self.subs.len() {
-            return Err(doram_sim::snapshot::SnapshotError::new(format!(
-                "sub-channel count mismatch: snapshot {subs}, target {}",
-                self.subs.len()
-            )));
-        }
-        for s in &mut self.subs {
-            s.load_state(r)?;
-        }
-        self.mc_pending.clear();
-        for _ in 0..r.get_usize()? {
-            self.mc_pending
-                .push_back(doram_dram::request::get_mem_request(r)?);
-        }
-        self.resp_pending.clear();
-        for _ in 0..r.get_usize()? {
-            self.resp_pending
-                .push_back(doram_dram::request::get_completion(r)?);
-        }
-        self.fault = doram_sim::snapshot::get_opt_sim_error(r)?;
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.link.load_state(r)?;
+        self.subs.load_state(r)?;
+        self.mc_pending = r.get()?;
+        self.resp_pending = r.get()?;
+        self.fault = r.get()?;
         Ok(())
     }
 }

@@ -33,6 +33,7 @@ use doram_obs::{EventKind, SharedRecorder, Subsystem};
 use doram_sim::fault::{FaultCounts, FaultInjector, FaultKind, FaultPlan, FaultRates};
 use doram_sim::health::{HealthMonitor, HealthPolicy, HealthState};
 use doram_sim::rng::Xoshiro256;
+use doram_sim::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{MemCycle, SimError};
 use std::collections::VecDeque;
 
@@ -145,40 +146,15 @@ impl LinkStats {
     }
 }
 
-impl doram_sim::snapshot::Snapshot for LinkStats {
-    fn save_state(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
-        let LinkStats {
-            retransmissions,
-            crc_errors,
-            timeouts,
-            delayed_frames,
-            exhausted_retries,
-            stale_drops,
-            recovery_cycles,
-        } = self;
-        w.put_u64(*retransmissions);
-        w.put_u64(*crc_errors);
-        w.put_u64(*timeouts);
-        w.put_u64(*delayed_frames);
-        w.put_u64(*exhausted_retries);
-        w.put_u64(*stale_drops);
-        w.put_u64(*recovery_cycles);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.retransmissions = r.get_u64()?;
-        self.crc_errors = r.get_u64()?;
-        self.timeouts = r.get_u64()?;
-        self.delayed_frames = r.get_u64()?;
-        self.exhausted_retries = r.get_u64()?;
-        self.stale_drops = r.get_u64()?;
-        self.recovery_cycles = r.get_u64()?;
-        Ok(())
-    }
-}
+doram_sim::impl_codec!(LinkStats {
+    retransmissions,
+    crc_errors,
+    timeouts,
+    delayed_frames,
+    exhausted_retries,
+    stale_drops,
+    recovery_cycles,
+});
 
 /// One queued frame waiting for the serializer.
 #[derive(Debug, Clone)]
@@ -194,6 +170,8 @@ struct TxEntry<M> {
     /// when serialization begins.
     busy_snap: [u64; doram_obs::BLAME_CLASSES],
 }
+
+doram_sim::impl_codec!(TxEntry<M> { bytes, msg, blame, enq, busy_snap });
 
 /// One direction of a serial link carrying messages of type `M`.
 #[derive(Debug, Clone)]
@@ -442,15 +420,10 @@ impl<M> Direction<M> {
     fn pending(&self) -> usize {
         self.tx.len() + self.flying.len()
     }
+}
 
-    /// Appends this direction's dynamic state; messages are encoded by
-    /// `enc` (the message type lives in the consumer crate).
-    fn save_state_with(
-        &self,
-        w: &mut doram_sim::snapshot::SnapshotWriter,
-        enc: &impl Fn(&M, &mut doram_sim::snapshot::SnapshotWriter),
-    ) {
-        use doram_sim::snapshot::Snapshot;
+impl<M: Codec> Snapshot for Direction<M> {
+    fn save_state(&self, w: &mut SnapshotWriter) {
         let Direction {
             cfg: _,
             tx,
@@ -469,80 +442,34 @@ impl<M> Direction<M> {
             serializing,
             last_tick,
         } = self;
-        w.put_usize(tx.len());
-        for e in tx {
-            w.put_u64(e.bytes);
-            enc(&e.msg, w);
-            w.put_u8(e.blame);
-            w.put_u64(e.enq);
-            for v in e.busy_snap {
-                w.put_u64(v);
-            }
-        }
-        w.put_u64(tx_busy_until.0);
-        w.put_bool(serializing.is_some());
-        w.put_u8(serializing.unwrap_or(0));
-        w.put_u64(*last_tick);
-        w.put_usize(flying.len());
-        for (arrival, bytes, msg) in flying {
-            w.put_u64(arrival.0);
-            w.put_u64(*bytes);
-            enc(msg, w);
-        }
-        w.put_u64(*bytes_sent);
+        w.put(tx);
+        w.put(tx_busy_until);
+        // The class byte is written even when idle (unlike `Option`).
+        w.put(&serializing.is_some());
+        w.put(&serializing.unwrap_or(0));
+        w.put(last_tick);
+        w.put(flying);
+        w.put(bytes_sent);
         injector.save_state(w);
-        jitter_rng.save_state(w);
+        w.put(jitter_rng);
         health.save_state(w);
-        stats.save_state(w);
-        doram_sim::snapshot::put_opt_sim_error(w, fault);
+        w.put(stats);
+        w.put(fault);
     }
 
-    /// Restores this direction's dynamic state; messages are decoded by
-    /// `dec`.
-    fn load_state_with(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-        dec: &impl Fn(
-            &mut doram_sim::snapshot::SnapshotReader<'_>,
-        ) -> Result<M, doram_sim::snapshot::SnapshotError>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        use doram_sim::snapshot::Snapshot;
-        self.tx.clear();
-        for _ in 0..r.get_usize()? {
-            let bytes = r.get_u64()?;
-            let msg = dec(r)?;
-            let blame = r.get_u8()?;
-            let enq = r.get_u64()?;
-            let mut busy_snap = [0u64; doram_obs::BLAME_CLASSES];
-            for v in &mut busy_snap {
-                *v = r.get_u64()?;
-            }
-            self.tx.push_back(TxEntry {
-                bytes,
-                msg,
-                blame,
-                enq,
-                busy_snap,
-            });
-        }
-        self.tx_busy_until = MemCycle(r.get_u64()?);
-        let has_ser = r.get_bool()?;
-        let ser_cls = r.get_u8()?;
-        self.serializing = has_ser.then_some(ser_cls);
-        self.last_tick = r.get_u64()?;
-        self.flying.clear();
-        for _ in 0..r.get_usize()? {
-            let arrival = MemCycle(r.get_u64()?);
-            let bytes = r.get_u64()?;
-            let msg = dec(r)?;
-            self.flying.push_back((arrival, bytes, msg));
-        }
-        self.bytes_sent = r.get_u64()?;
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.tx = r.get()?;
+        self.tx_busy_until = r.get()?;
+        let (serializing, class): (bool, u8) = r.get()?;
+        self.serializing = serializing.then_some(class);
+        self.last_tick = r.get()?;
+        self.flying = r.get()?;
+        self.bytes_sent = r.get()?;
         self.injector.load_state(r)?;
-        self.jitter_rng.load_state(r)?;
+        self.jitter_rng = r.get()?;
         self.health.load_state(r)?;
-        self.stats.load_state(r)?;
-        self.fault = doram_sim::snapshot::get_opt_sim_error(r)?;
+        self.stats = r.get()?;
+        self.fault = r.get()?;
         Ok(())
     }
 }
@@ -715,35 +642,18 @@ impl<M> Link<M> {
     pub fn quarantine_entries(&self) -> u32 {
         self.to_mem.health.quarantine_entries() + self.to_cpu.health.quarantine_entries()
     }
+}
 
-    /// Appends both directions' dynamic state for a checkpoint. The
-    /// message type `M` is private to the consumer crate, so its codec is
-    /// passed in as `enc`.
-    pub fn save_state_with(
-        &self,
-        w: &mut doram_sim::snapshot::SnapshotWriter,
-        enc: impl Fn(&M, &mut doram_sim::snapshot::SnapshotWriter),
-    ) {
-        self.to_mem.save_state_with(w, &enc);
-        self.to_cpu.save_state_with(w, &enc);
+impl<M: Codec> Snapshot for Link<M> {
+    fn save_state(&self, w: &mut SnapshotWriter) {
+        let Link { to_mem, to_cpu } = self;
+        to_mem.save_state(w);
+        to_cpu.save_state(w);
     }
 
-    /// Restores both directions' dynamic state from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`doram_sim::snapshot::SnapshotError`] on truncation or a
-    /// malformed message.
-    pub fn load_state_with(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-        dec: impl Fn(
-            &mut doram_sim::snapshot::SnapshotReader<'_>,
-        ) -> Result<M, doram_sim::snapshot::SnapshotError>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.to_mem.load_state_with(r, &dec)?;
-        self.to_cpu.load_state_with(r, &dec)?;
-        Ok(())
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.to_mem.load_state(r)?;
+        self.to_cpu.load_state(r)
     }
 }
 
@@ -1039,13 +949,11 @@ mod tests {
         assert!(link.stats().retransmissions > 0, "retries before the split");
 
         let mut w = SnapshotWriter::new();
-        link.save_state_with(&mut w, |m, w| w.put_u64(u64::from(*m)));
+        link.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut resumed: Link<u32> = Link::new(cfg);
         let mut r = SnapshotReader::new(&bytes);
-        resumed
-            .load_state_with(&mut r, |r| r.get_u64().map(|v| v as u32))
-            .unwrap();
+        resumed.load_state(&mut r).unwrap();
 
         let mut next_r = next;
         let tail_a = run_half(&mut link, &mut next, split, 200_000);
@@ -1058,7 +966,7 @@ mod tests {
         // And the final states serialize identically.
         let snap = |l: &Link<u32>| {
             let mut w = SnapshotWriter::new();
-            l.save_state_with(&mut w, |m, w| w.put_u64(u64::from(*m)));
+            l.save_state(&mut w);
             w.into_bytes()
         };
         assert_eq!(snap(&link), snap(&resumed));
@@ -1263,7 +1171,7 @@ mod tests {
         }
         assert!(link.pending() > 0);
         let mut w = SnapshotWriter::new();
-        link.save_state_with(&mut w, |m, w| w.put_u64(u64::from(*m)));
+        link.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut resumed: Link<u32> = Link::new(LinkConfig::default());
         let rec2 = Recorder::shared(64, FILTER_ALL, 1_000_000);
@@ -1278,9 +1186,7 @@ mod tests {
         }
         resumed.set_obs_named(Some(rec2.clone()), "sec.link");
         let mut r = SnapshotReader::new(&bytes);
-        resumed
-            .load_state_with(&mut r, |r| r.get_u64().map(|v| v as u32))
-            .unwrap();
+        resumed.load_state(&mut r).unwrap();
         for c in 10..400u64 {
             link.tick(MemCycle(c), &mut at_mem, &mut at_cpu);
             let mut a = Vec::new();

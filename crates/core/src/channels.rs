@@ -343,20 +343,11 @@ impl ChannelFabric {
 impl Snapshot for ChannelFabric {
     fn save_state(&self, w: &mut SnapshotWriter) {
         let ChannelFabric { channels } = self;
-        w.put_usize(channels.len());
-        for ch in channels {
-            ch.save_state(w);
-        }
+        channels.save_state(w);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        if r.get_usize()? != self.channels.len() {
-            return Err(SnapshotError::new("channel count mismatch"));
-        }
-        for ch in self.channels.iter_mut() {
-            ch.load_state(r)?;
-        }
-        Ok(())
+        self.channels.load_state(r)
     }
 }
 

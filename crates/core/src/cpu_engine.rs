@@ -14,7 +14,7 @@
 //! access window — see `doram-crypto` — so the engine models crypto cost
 //! as zero additional latency, as the paper argues.
 
-use crate::onchip_oram::{get_oram_job, put_oram_job, OramJob};
+use crate::onchip_oram::OramJob;
 use doram_dram::MemOp;
 use doram_obs::SharedRecorder;
 use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -131,25 +131,11 @@ impl CpuEngine {
     }
 }
 
-impl Snapshot for EngineStats {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        let EngineStats {
-            real_sent,
-            dummies_sent,
-            responses,
-        } = self;
-        real_sent.save_state(w);
-        dummies_sent.save_state(w);
-        responses.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.real_sent.load_state(r)?;
-        self.dummies_sent.load_state(r)?;
-        self.responses.load_state(r)?;
-        Ok(())
-    }
-}
+doram_sim::impl_codec!(EngineStats {
+    real_sent,
+    dummies_sent,
+    responses
+});
 
 impl Snapshot for CpuEngine {
     fn save_state(&self, w: &mut SnapshotWriter) {
@@ -162,23 +148,17 @@ impl Snapshot for CpuEngine {
             stats,
             obs: _, // re-wired by the host after restore
         } = self;
-        w.put_usize(queue.len());
-        for job in queue {
-            put_oram_job(job, w);
-        }
-        w.put_bool(*awaiting);
-        w.put_u64(next_send_at.0);
-        stats.save_state(w);
+        w.put(queue);
+        w.put(awaiting);
+        w.put(next_send_at);
+        w.put(stats);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.queue.clear();
-        for _ in 0..r.get_usize()? {
-            self.queue.push_back(get_oram_job(r)?);
-        }
-        self.awaiting = r.get_bool()?;
-        self.next_send_at = MemCycle(r.get_u64()?);
-        self.stats.load_state(r)?;
+        self.queue = r.get()?;
+        self.awaiting = r.get()?;
+        self.next_send_at = r.get()?;
+        self.stats = r.get()?;
         Ok(())
     }
 }

@@ -148,6 +148,8 @@ impl SecMemFrontend {
     }
 }
 
+doram_sim::impl_codec!(PendingReal { core_id, issued });
+
 impl Snapshot for SecMemFrontend {
     fn save_state(&self, w: &mut SnapshotWriter) {
         let SecMemFrontend {
@@ -159,59 +161,16 @@ impl Snapshot for SecMemFrontend {
             overhead: _,
         } = self;
         engine.save_state(w);
-        // Maps serialized sorted so the payload is independent of hash
-        // order.
-        let mut reals: Vec<(u64, PendingReal)> =
-            pending.iter().map(|(id, p)| (id.0, *p)).collect();
-        reals.sort_unstable_by_key(|&(id, _)| id);
-        w.put_usize(reals.len());
-        for (id, p) in reals {
-            w.put_u64(id);
-            match p.core_id {
-                None => w.put_bool(false),
-                Some(core_id) => {
-                    w.put_bool(true);
-                    w.put_u64(core_id.0);
-                }
-            }
-            w.put_u64(p.issued.0);
-        }
-        let mut dummy_ids: Vec<u64> = dummies.keys().map(|id| id.0).collect();
-        dummy_ids.sort_unstable();
-        w.put_usize(dummy_ids.len());
-        for id in dummy_ids {
-            w.put_u64(id);
-        }
-        w.put_usize(delayed.len());
-        for (when, id) in delayed {
-            w.put_u64(when.0);
-            w.put_u64(id.0);
-        }
+        w.put(pending);
+        w.put(dummies);
+        w.put(delayed);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.engine.load_state(r)?;
-        self.pending.clear();
-        for _ in 0..r.get_usize()? {
-            let id = RequestId(r.get_u64()?);
-            let core_id = if r.get_bool()? {
-                Some(RequestId(r.get_u64()?))
-            } else {
-                None
-            };
-            let issued = MemCycle(r.get_u64()?);
-            self.pending.insert(id, PendingReal { core_id, issued });
-        }
-        self.dummies.clear();
-        for _ in 0..r.get_usize()? {
-            self.dummies.insert(RequestId(r.get_u64()?), ());
-        }
-        self.delayed.clear();
-        for _ in 0..r.get_usize()? {
-            let when = MemCycle(r.get_u64()?);
-            let id = RequestId(r.get_u64()?);
-            self.delayed.push((when, id));
-        }
+        self.pending = r.get()?;
+        self.dummies = r.get()?;
+        self.delayed = r.get()?;
         Ok(())
     }
 }

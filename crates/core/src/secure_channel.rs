@@ -13,23 +13,18 @@
 //! the (ciphertext) blocks as full response packets (§III-C). Write-phase
 //! updates travel as full write packets the CPU forwards; they are posted.
 
-use crate::onchip_oram::{
-    get_oram_job, put_oram_job, BlockSink, FsmEvent, Issued, OramFsm, OramJob, OramStats,
-};
 use crate::onchip_oram::ORAM_REGION_BASE;
+use crate::onchip_oram::{BlockSink, FsmEvent, Issued, OramFsm, OramJob, OramStats};
 use doram_bob::packet::PacketKind;
 use doram_bob::{Link, LinkConfig, LinkStats};
 use doram_crypto::{BucketIntegrity, MerkleTree, DIGEST_BYTES};
-use doram_dram::request::{get_completion, get_mem_request, put_completion, put_mem_request};
 use doram_dram::{Completion, MemOp, MemRequest, RequestClass, SubChannel, SubChannelConfig};
 use doram_obs::{EventKind, SharedRecorder, Subsystem};
 use doram_oram::plan::{BlockRef, Placement, PlanConfig};
 use doram_oram::verified::RecoveryPolicy;
 use doram_sim::fault::{FaultCounts, FaultInjector, FaultKind, FaultPlan};
 use doram_sim::health::{HealthMonitor, HealthPolicy, HealthState, HealthTransition};
-use doram_sim::snapshot::{
-    get_opt_sim_error, put_opt_sim_error, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
-};
+use doram_sim::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{AppId, MemCycle, RequestId, RequestIdGen, SimError};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -1472,83 +1467,86 @@ impl SecureChannel {
     }
 }
 
-pub(crate) fn put_split_fetch(f: &SplitFetch, w: &mut SnapshotWriter) {
-    w.put_u64(f.tag);
-    w.put_usize(f.channel);
-    w.put_u64(f.addr);
-}
+doram_sim::impl_codec!(SplitFetch { tag, channel, addr });
 
-pub(crate) fn get_split_fetch(r: &mut SnapshotReader<'_>) -> Result<SplitFetch, SnapshotError> {
-    Ok(SplitFetch {
-        tag: r.get_u64()?,
-        channel: r.get_usize()?,
-        addr: r.get_u64()?,
-    })
-}
+/// A `u8` count followed by that many fetches.
+impl Codec for SplitBatch {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.len);
+        self.fetches().iter().for_each(|f| w.put(f));
+    }
 
-fn put_sec_msg(msg: &SecMsg, w: &mut SnapshotWriter) {
-    match msg {
-        SecMsg::NsReq(req) => {
-            w.put_u8(0);
-            put_mem_request(w, req);
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let len = r.get_u8()?;
+        if usize::from(len) > MAX_BATCH {
+            return Err(SnapshotError::new(format!("split batch len {len}")));
         }
-        SecMsg::NsResp(c) => {
-            w.put_u8(1);
-            put_completion(w, c);
+        let mut batch = SplitBatch::new();
+        for _ in 0..len {
+            batch.push(r.get()?);
         }
-        SecMsg::SecReq(job) => {
-            w.put_u8(2);
-            put_oram_job(job, w);
-        }
-        SecMsg::SecResp(job) => {
-            w.put_u8(3);
-            put_oram_job(job, w);
-        }
-        SecMsg::SplitReadReq(f) => {
-            w.put_u8(4);
-            put_split_fetch(f, w);
-        }
-        SecMsg::SplitReadBatch(batch) => {
-            w.put_u8(5);
-            w.put_u8(batch.len);
-            for f in batch.fetches() {
-                put_split_fetch(f, w);
-            }
-        }
-        SecMsg::SplitReadResp(f) => {
-            w.put_u8(6);
-            put_split_fetch(f, w);
-        }
-        SecMsg::SplitWrite(f) => {
-            w.put_u8(7);
-            put_split_fetch(f, w);
-        }
+        Ok(batch)
     }
 }
 
-fn get_sec_msg(r: &mut SnapshotReader<'_>) -> Result<SecMsg, SnapshotError> {
-    Ok(match r.get_u8()? {
-        0 => SecMsg::NsReq(get_mem_request(r)?),
-        1 => SecMsg::NsResp(get_completion(r)?),
-        2 => SecMsg::SecReq(get_oram_job(r)?),
-        3 => SecMsg::SecResp(get_oram_job(r)?),
-        4 => SecMsg::SplitReadReq(get_split_fetch(r)?),
-        5 => {
-            let len = r.get_u8()?;
-            if len as usize > MAX_BATCH {
-                return Err(SnapshotError::new(format!("split batch len {len}")));
+impl Codec for SecMsg {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match self {
+            SecMsg::NsReq(req) => {
+                w.put_u8(0);
+                w.put(req);
             }
-            let mut batch = SplitBatch::new();
-            for _ in 0..len {
-                batch.push(get_split_fetch(r)?);
+            SecMsg::NsResp(c) => {
+                w.put_u8(1);
+                w.put(c);
             }
-            SecMsg::SplitReadBatch(batch)
+            SecMsg::SecReq(job) => {
+                w.put_u8(2);
+                w.put(job);
+            }
+            SecMsg::SecResp(job) => {
+                w.put_u8(3);
+                w.put(job);
+            }
+            SecMsg::SplitReadReq(f) => {
+                w.put_u8(4);
+                w.put(f);
+            }
+            SecMsg::SplitReadBatch(batch) => {
+                w.put_u8(5);
+                w.put(batch);
+            }
+            SecMsg::SplitReadResp(f) => {
+                w.put_u8(6);
+                w.put(f);
+            }
+            SecMsg::SplitWrite(f) => {
+                w.put_u8(7);
+                w.put(f);
+            }
         }
-        6 => SecMsg::SplitReadResp(get_split_fetch(r)?),
-        7 => SecMsg::SplitWrite(get_split_fetch(r)?),
-        tag => return Err(SnapshotError::new(format!("bad sec msg tag {tag}"))),
-    })
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.get_u8()? {
+            0 => SecMsg::NsReq(r.get()?),
+            1 => SecMsg::NsResp(r.get()?),
+            2 => SecMsg::SecReq(r.get()?),
+            3 => SecMsg::SecResp(r.get()?),
+            4 => SecMsg::SplitReadReq(r.get()?),
+            5 => SecMsg::SplitReadBatch(r.get()?),
+            6 => SecMsg::SplitReadResp(r.get()?),
+            7 => SecMsg::SplitWrite(r.get()?),
+            tag => return Err(SnapshotError::new(format!("bad sec msg tag {tag}"))),
+        })
+    }
 }
+
+doram_sim::impl_codec!(RefetchTicket {
+    orig,
+    detect,
+    attempts
+});
 
 impl Snapshot for SdIntegrity {
     fn save_state(&self, w: &mut SnapshotWriter) {
@@ -1585,137 +1583,60 @@ impl Snapshot for SdIntegrity {
             now_hint,
         } = self;
         debug_assert!(transitions.is_empty(), "transitions drain each tick");
-        // export_tags returns addr-sorted pairs, so the payload is
-        // independent of hash order.
-        let tags = integrity.export_tags();
-        w.put_usize(tags.len());
-        for (addr, tag) in tags {
-            w.put_u64(addr);
-            w.put_bytes(&tag);
-        }
-        let mut vers: Vec<(u64, u64)> = versions.iter().map(|(&a, &v)| (a, v)).collect();
-        vers.sort_unstable_by_key(|&(a, _)| a);
-        w.put_usize(vers.len());
-        for (addr, v) in vers {
-            w.put_u64(addr);
-            w.put_u64(v);
-        }
-        let mut prev: Vec<(u64, u64)> = prev_versions.iter().map(|(&a, &v)| (a, v)).collect();
-        prev.sort_unstable_by_key(|&(a, _)| a);
-        w.put_usize(prev.len());
-        for (addr, v) in prev {
-            w.put_u64(addr);
-            w.put_u64(v);
-        }
-        let mut lvs: Vec<(u64, u64)> = leaves.iter().map(|(&a, &l)| (a, l)).collect();
-        lvs.sort_unstable_by_key(|&(a, _)| a);
-        w.put_usize(lvs.len());
-        for (addr, l) in lvs {
-            w.put_u64(addr);
-            w.put_u64(l);
-        }
-        w.put_u64(*next_leaf);
-        w.put_u64(*replay_detected);
-        w.put_u64(*relocation_detected);
-        w.put_u64(*rollback_rejected);
-        w.put_u64(*freshness_ops);
-        w.put_u64(*freshness_cycles);
-        injector.save_state(w);
-        w.put_usize(sub_injectors.len());
-        for inj in sub_injectors {
-            inj.save_state(w);
-        }
-        w.put_usize(health.len());
-        for h in health {
-            h.save_state(w);
-        }
-        w.put_u64(*integrity_failures);
-        w.put_u64(*refetches);
-        w.put_u64(*recovery_cycles);
-        w.put_u64(*parity_rebuilds);
-        w.put_u64(*scrub_repairs);
-        put_opt_sim_error(w, fault);
-        let mut tickets: Vec<(u64, RefetchTicket)> =
-            inflight.iter().map(|(id, t)| (id.0, *t)).collect();
-        tickets.sort_unstable_by_key(|&(id, _)| id);
-        w.put_usize(tickets.len());
-        for (id, t) in tickets {
-            w.put_u64(id);
-            w.put_u64(t.orig.0);
-            w.put_u64(t.detect.0);
-            w.put_u32(t.attempts);
-        }
-        let mut shares: Vec<(u64, u64)> = rebuild_shares.iter().map(|(&s, &g)| (s, g)).collect();
-        shares.sort_unstable_by_key(|&(s, _)| s);
-        w.put_usize(shares.len());
-        for (share, gid) in shares {
-            w.put_u64(share);
-            w.put_u64(gid);
-        }
-        let mut groups: Vec<(u64, RequestId, u32)> = rebuild_groups
-            .iter()
-            .map(|(&g, &(orig, left))| (g, orig, left))
+        // Tags travel as length-prefixed byte strings, in address order.
+        let tags: Vec<(u64, Vec<u8>)> = integrity
+            .export_tags()
+            .into_iter()
+            .map(|(addr, tag)| (addr, tag.to_vec()))
             .collect();
-        groups.sort_unstable_by_key(|&(g, _, _)| g);
-        w.put_usize(groups.len());
-        for (gid, orig, left) in groups {
-            w.put_u64(gid);
-            w.put_u64(orig.0);
-            w.put_u32(left);
-        }
-        w.put_u64(*next_group);
-        let mut owners: Vec<(u64, usize)> = owners.iter().map(|(&a, &s)| (a, s)).collect();
-        owners.sort_unstable_by_key(|&(addr, _)| addr);
-        w.put_usize(owners.len());
-        for (addr, sub) in owners {
-            w.put_u64(addr);
-            w.put_usize(sub);
-        }
-        w.put_usize(corrupt.len());
-        for &addr in corrupt {
-            w.put_u64(addr);
-        }
-        w.put_u64(*now_hint);
+        w.put(&tags);
+        w.put(versions);
+        w.put(prev_versions);
+        w.put(leaves);
+        w.put(next_leaf);
+        w.put(replay_detected);
+        w.put(relocation_detected);
+        w.put(rollback_rejected);
+        w.put(freshness_ops);
+        w.put(freshness_cycles);
+        injector.save_state(w);
+        sub_injectors.save_state(w);
+        health.save_state(w);
+        w.put(integrity_failures);
+        w.put(refetches);
+        w.put(recovery_cycles);
+        w.put(parity_rebuilds);
+        w.put(scrub_repairs);
+        w.put(fault);
+        w.put(inflight);
+        w.put(rebuild_shares);
+        w.put(rebuild_groups);
+        w.put(next_group);
+        w.put(owners);
+        w.put(corrupt);
+        w.put(now_hint);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let n_tags = r.get_usize()?;
-        let mut tags = Vec::with_capacity(n_tags.min(1 << 16));
-        for _ in 0..n_tags {
-            let addr = r.get_u64()?;
-            let bytes = r.get_bytes()?;
-            if bytes.len() != DIGEST_BYTES {
-                return Err(SnapshotError::new("bad integrity tag length"));
-            }
-            let mut tag = [0u8; DIGEST_BYTES];
-            tag.copy_from_slice(&bytes);
-            tags.push((addr, tag));
-        }
+        let tags = r
+            .get::<Vec<(u64, Vec<u8>)>>()?
+            .into_iter()
+            .map(|(addr, tag)| {
+                let tag = <[u8; DIGEST_BYTES]>::try_from(tag.as_slice())
+                    .map_err(|_| SnapshotError::new("bad integrity tag length"))?;
+                Ok((addr, tag))
+            })
+            .collect::<Result<Vec<_>, SnapshotError>>()?;
         self.integrity.import_tags(tags);
-        self.versions.clear();
-        for _ in 0..r.get_usize()? {
-            let addr = r.get_u64()?;
-            let v = r.get_u64()?;
-            self.versions.insert(addr, v);
-        }
-        self.prev_versions.clear();
-        for _ in 0..r.get_usize()? {
-            let addr = r.get_u64()?;
-            let v = r.get_u64()?;
-            self.prev_versions.insert(addr, v);
-        }
-        self.leaves.clear();
-        for _ in 0..r.get_usize()? {
-            let addr = r.get_u64()?;
-            let leaf = r.get_u64()?;
-            self.leaves.insert(addr, leaf);
-        }
-        self.next_leaf = r.get_u64()?;
-        self.replay_detected = r.get_u64()?;
-        self.relocation_detected = r.get_u64()?;
-        self.rollback_rejected = r.get_u64()?;
-        self.freshness_ops = r.get_u64()?;
-        self.freshness_cycles = r.get_u64()?;
+        self.versions = r.get()?;
+        self.prev_versions = r.get()?;
+        self.leaves = r.get()?;
+        self.next_leaf = r.get()?;
+        self.replay_detected = r.get()?;
+        self.relocation_detected = r.get()?;
+        self.rollback_rejected = r.get()?;
+        self.freshness_ops = r.get()?;
+        self.freshness_cycles = r.get()?;
         if !self.leaves.is_empty() && self.freshness.is_none() {
             return Err(SnapshotError::new(
                 "checkpoint carries freshness leaves but the config arms no tree",
@@ -1734,67 +1655,22 @@ impl Snapshot for SdIntegrity {
             }
         }
         self.injector.load_state(r)?;
-        if r.get_usize()? != self.sub_injectors.len() {
-            return Err(SnapshotError::new(
-                "sub-channel count mismatch (sub injectors)",
-            ));
-        }
-        for inj in self.sub_injectors.iter_mut() {
-            inj.load_state(r)?;
-        }
-        if r.get_usize()? != self.health.len() {
-            return Err(SnapshotError::new("sub-channel count mismatch (health)"));
-        }
-        for h in self.health.iter_mut() {
-            h.load_state(r)?;
-        }
-        self.integrity_failures = r.get_u64()?;
-        self.refetches = r.get_u64()?;
-        self.recovery_cycles = r.get_u64()?;
-        self.parity_rebuilds = r.get_u64()?;
-        self.scrub_repairs = r.get_u64()?;
-        self.fault = get_opt_sim_error(r)?;
-        self.inflight.clear();
-        for _ in 0..r.get_usize()? {
-            let id = RequestId(r.get_u64()?);
-            let orig = RequestId(r.get_u64()?);
-            let detect = MemCycle(r.get_u64()?);
-            let attempts = r.get_u32()?;
-            self.inflight.insert(
-                id,
-                RefetchTicket {
-                    orig,
-                    detect,
-                    attempts,
-                },
-            );
-        }
-        self.rebuild_shares.clear();
-        for _ in 0..r.get_usize()? {
-            let share = r.get_u64()?;
-            let gid = r.get_u64()?;
-            self.rebuild_shares.insert(share, gid);
-        }
-        self.rebuild_groups.clear();
-        for _ in 0..r.get_usize()? {
-            let gid = r.get_u64()?;
-            let orig = RequestId(r.get_u64()?);
-            let left = r.get_u32()?;
-            self.rebuild_groups.insert(gid, (orig, left));
-        }
-        self.next_group = r.get_u64()?;
-        self.owners.clear();
-        for _ in 0..r.get_usize()? {
-            let addr = r.get_u64()?;
-            let sub = r.get_usize()?;
-            self.owners.insert(addr, sub);
-        }
-        self.corrupt.clear();
-        for _ in 0..r.get_usize()? {
-            self.corrupt.insert(r.get_u64()?);
-        }
+        self.sub_injectors.load_state(r)?;
+        self.health.load_state(r)?;
+        self.integrity_failures = r.get()?;
+        self.refetches = r.get()?;
+        self.recovery_cycles = r.get()?;
+        self.parity_rebuilds = r.get()?;
+        self.scrub_repairs = r.get()?;
+        self.fault = r.get()?;
+        self.inflight = r.get()?;
+        self.rebuild_shares = r.get()?;
+        self.rebuild_groups = r.get()?;
+        self.next_group = r.get()?;
+        self.owners = r.get()?;
+        self.corrupt = r.get()?;
         self.transitions.clear();
-        self.now_hint = r.get_u64()?;
+        self.now_hint = r.get()?;
         Ok(())
     }
 }
@@ -1823,111 +1699,54 @@ impl Snapshot for SecureChannel {
             out_blame_res: _,    // ditto
             verify_blame_res: _, // ditto
         } = self;
-        link.save_state_with(w, put_sec_msg);
-        w.put_usize(subs.len());
-        for sub in subs {
-            sub.save_state(w);
-        }
+        link.save_state(w);
+        subs.save_state(w);
         fsm.save_state(w);
-        w.put_usize(mc_pending.len());
-        for req in mc_pending {
-            put_mem_request(w, req);
-        }
-        w.put_usize(resp_pending.len());
-        for c in resp_pending {
-            put_completion(w, c);
-        }
-        w.put_usize(out_pending.len());
-        for msg in out_pending {
-            put_sec_msg(msg, w);
-        }
-        local_ids.save_state(w);
+        w.put(mc_pending);
+        w.put(resp_pending);
+        w.put(out_pending);
+        w.put(local_ids);
         // Presence of merge buffers is config; contents are dynamic (they
-        // drain every tick, but serialize them for safety).
-        match merge_bufs {
-            None => w.put_bool(false),
-            Some(bufs) => {
-                w.put_bool(true);
-                w.put_usize(bufs.len());
-                for batch in bufs {
-                    put_sec_msg(&SecMsg::SplitReadBatch(*batch), w);
-                }
-            }
-        }
+        // drain every tick, but serialize them for safety), each written
+        // as a split-batch message.
+        w.put(&merge_bufs.as_ref().map(|bufs| {
+            bufs.iter()
+                .map(|&b| SecMsg::SplitReadBatch(b))
+                .collect::<Vec<_>>()
+        }));
         sd_integrity.save_state(w);
-        w.put_usize(verify_pending.len());
-        for (ready, id) in verify_pending {
-            w.put_u64(ready.0);
-            w.put_u64(id.0);
-        }
-        w.put_usize(pending_refetch.len());
-        for (sub, req) in pending_refetch {
-            w.put_usize(*sub);
-            put_mem_request(w, req);
-        }
-        w.put_usize(pending_rebuild.len());
-        for (sub, req) in pending_rebuild {
-            w.put_usize(*sub);
-            put_mem_request(w, req);
-        }
+        w.put(verify_pending);
+        w.put(pending_refetch);
+        w.put(pending_rebuild);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.link.load_state_with(r, get_sec_msg)?;
-        if r.get_usize()? != self.subs.len() {
-            return Err(SnapshotError::new("secure sub-channel count mismatch"));
-        }
-        for sub in self.subs.iter_mut() {
-            sub.load_state(r)?;
-        }
+        self.link.load_state(r)?;
+        self.subs.load_state(r)?;
         self.fsm.load_state(r)?;
-        self.mc_pending.clear();
-        for _ in 0..r.get_usize()? {
-            self.mc_pending.push_back(get_mem_request(r)?);
-        }
-        self.resp_pending.clear();
-        for _ in 0..r.get_usize()? {
-            self.resp_pending.push_back(get_completion(r)?);
-        }
-        self.out_pending.clear();
-        for _ in 0..r.get_usize()? {
-            self.out_pending.push_back(get_sec_msg(r)?);
-        }
-        self.local_ids.load_state(r)?;
-        let has_bufs = r.get_bool()?;
-        if has_bufs != self.merge_bufs.is_some() {
-            return Err(SnapshotError::new("merge-buffer presence mismatch"));
-        }
-        if let Some(bufs) = self.merge_bufs.as_mut() {
-            if r.get_usize()? != bufs.len() {
-                return Err(SnapshotError::new("merge-buffer count mismatch"));
-            }
-            for batch in bufs.iter_mut() {
-                match get_sec_msg(r)? {
-                    SecMsg::SplitReadBatch(b) => *batch = b,
-                    _ => return Err(SnapshotError::new("expected split batch")),
+        self.mc_pending = r.get()?;
+        self.resp_pending = r.get()?;
+        self.out_pending = r.get()?;
+        self.local_ids = r.get()?;
+        match (r.get::<Option<Vec<SecMsg>>>()?, self.merge_bufs.as_mut()) {
+            (None, None) => {}
+            (Some(saved), Some(bufs)) => {
+                if saved.len() != bufs.len() {
+                    return Err(SnapshotError::new("merge-buffer count mismatch"));
+                }
+                for (slot, msg) in bufs.iter_mut().zip(saved) {
+                    let SecMsg::SplitReadBatch(batch) = msg else {
+                        return Err(SnapshotError::new("expected split batch"));
+                    };
+                    *slot = batch;
                 }
             }
+            _ => return Err(SnapshotError::new("merge-buffer presence mismatch")),
         }
         self.sd_integrity.load_state(r)?;
-        self.verify_pending.clear();
-        for _ in 0..r.get_usize()? {
-            let ready = MemCycle(r.get_u64()?);
-            let id = RequestId(r.get_u64()?);
-            self.verify_pending.push_back((ready, id));
-        }
-        self.pending_refetch.clear();
-        for _ in 0..r.get_usize()? {
-            let sub = r.get_usize()?;
-            let req = get_mem_request(r)?;
-            self.pending_refetch.push_back((sub, req));
-        }
-        self.pending_rebuild.clear();
-        for _ in 0..r.get_usize()? {
-            let sub = r.get_usize()?;
-            let req = get_mem_request(r)?;
-            self.pending_rebuild.push_back((sub, req));
-        }
+        self.verify_pending = r.get()?;
+        self.pending_refetch = r.get()?;
+        self.pending_rebuild = r.get()?;
         Ok(())
     }
 }
@@ -2096,6 +1915,37 @@ mod tests {
             ch.tick(MemCycle(c), &mut out.ns, &mut out.resp, &mut out.sr, &mut out.sw);
         }
         out
+    }
+
+    #[test]
+    fn integrity_restore_rejects_malformed_state() {
+        use doram_sim::fault::FaultRates;
+        let armed = SecureChannelConfig {
+            fault_plan: FaultPlan::with_rates(1, FaultRates::only(FaultKind::ReplayStale, 1)),
+            ..cfg(0)
+        };
+        // The head of an SdIntegrity payload: tags, versions, previous
+        // versions, freshness leaves, the leaf cursor and five counters.
+        let encode = |tags: Vec<(u64, Vec<u8>)>, leaves: HashMap<u64, u64>| {
+            let mut w = SnapshotWriter::new();
+            w.put(&tags);
+            w.put(&HashMap::<u64, u64>::new());
+            w.put(&HashMap::<u64, u64>::new());
+            w.put(&leaves);
+            w.put(&[0u64; 6]);
+            w.into_bytes()
+        };
+        let load = |cfg: &SecureChannelConfig, bytes: &[u8]| {
+            let err = SdIntegrity::new(cfg, 4)
+                .load_state(&mut SnapshotReader::new(bytes))
+                .unwrap_err();
+            err.to_string()
+        };
+        let short_tag = encode(vec![(64, vec![0; DIGEST_BYTES - 1])], HashMap::new());
+        assert!(load(&armed, &short_tag).contains("bad integrity tag length"));
+        let far_leaf = encode(Vec::new(), HashMap::from([(64, u64::MAX)]));
+        assert!(load(&armed, &far_leaf).contains("freshness leaf out of range"));
+        assert!(load(&cfg(0), &far_leaf).contains("arms no tree"));
     }
 
     #[test]

@@ -12,9 +12,7 @@ use crate::cpu_engine::CpuEngine;
 use crate::metrics::{OramSummary, RunReport};
 use crate::onchip_oram::{FabricSink, FsmEvent, OramFsm, OramJob};
 use crate::secmem_frontend::SecMemFrontend;
-use crate::secure_channel::{
-    get_split_fetch, put_split_fetch, SecureChannel, SecureChannelConfig, SplitFetch,
-};
+use crate::secure_channel::{SecureChannel, SecureChannelConfig, SplitFetch};
 use doram_cpu::{CoreConfig, MemoryPort, TraceCore};
 use doram_dram::{Completion, MemOp, MemRequest, RequestClass};
 use doram_obs::{CoreStall, SharedRecorder, StallDump, Subsystem};
@@ -28,7 +26,7 @@ use doram_sim::snapshot::{
 };
 use doram_sim::stats::{Histogram, RunningMean};
 use doram_sim::{AppId, ConfigError, MemCycle, RequestId, RequestIdGen, CPU_CYCLES_PER_MEM_CYCLE};
-use doram_trace::TraceGenerator;
+use doram_trace::{Benchmark, TraceGenerator, TraceRecord};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -272,63 +270,89 @@ fn config_hash(cfg: &SystemConfig) -> u64 {
 /// Event-log tail length carried in a [`StallDump`].
 const STALL_EVENT_TAIL: usize = 16;
 
+/// Where a core's trace comes from: one seeded generator stream per
+/// (segment, core, restart).
+struct TraceSource {
+    bench: Benchmark,
+    accesses: u64,
+    seed: u64,
+    /// Stream id of the first run; restart `n` draws stream `stream + n`.
+    stream: u64,
+}
+
+impl TraceSource {
+    /// A fresh iterator over the trace of run number `restart`.
+    fn run(&self, restart: u64) -> Box<dyn Iterator<Item = TraceRecord> + Send> {
+        let gen = TraceGenerator::new(self.bench.spec(), self.seed, self.stream + restart);
+        Box::new(gen.finite(self.accesses))
+    }
+}
+
 /// One core and its bookkeeping.
 struct CoreSlot {
     core: TraceCore,
     is_sapp: bool,
     first_finish_cpu: Option<u64>,
     restarts: u64,
+    source: TraceSource,
 }
 
 impl CoreSlot {
-    /// Serializes the slot (restart count first: restoring needs it to
-    /// rebuild the right trace segment before the core state loads).
+    /// Core `core_idx` of `cfg`, at the start of its first trace run.
+    fn new(cfg: &SystemConfig, core_idx: usize) -> CoreSlot {
+        let sapp = cfg.scheme.has_sapp();
+        let is_sapp = sapp && core_idx == 0;
+        let source = TraceSource {
+            bench: if is_sapp {
+                cfg.benchmark
+            } else {
+                cfg.ns_benchmark(core_idx - usize::from(sapp))
+            },
+            accesses: if is_sapp {
+                cfg.s_accesses
+            } else {
+                cfg.ns_accesses
+            },
+            seed: cfg.seed,
+            stream: cfg.trace_stream * 1_000_000 + core_idx as u64 * 1_000,
+        };
+        CoreSlot {
+            core: TraceCore::new(CoreConfig::default(), source.run(0)),
+            is_sapp,
+            first_finish_cpu: None,
+            restarts: 0,
+            source,
+        }
+    }
+
+    /// Starts the next run of the trace (keeps the load constant after a
+    /// core finishes).
+    fn restart(&mut self) {
+        self.restarts += 1;
+        self.core = TraceCore::new(CoreConfig::default(), self.source.run(self.restarts));
+    }
+}
+
+impl Snapshot for CoreSlot {
+    /// The restart count comes first: restoring needs it to rebuild the
+    /// right trace segment before the core state loads.
     fn save_state(&self, w: &mut SnapshotWriter) {
         let CoreSlot {
             core,
             is_sapp: _,
             first_finish_cpu,
             restarts,
+            source: _,
         } = self;
-        w.put_u64(*restarts);
-        match first_finish_cpu {
-            None => w.put_bool(false),
-            Some(c) => {
-                w.put_bool(true);
-                w.put_u64(*c);
-            }
-        }
+        w.put(restarts);
+        w.put(first_finish_cpu);
         core.save_state(w);
     }
 
-    /// Restores the slot; `core_idx` and `cfg` rebuild the trace iterator
-    /// for the checkpointed restart count.
-    fn load_state(
-        &mut self,
-        r: &mut SnapshotReader<'_>,
-        cfg: &SystemConfig,
-        core_idx: usize,
-        sapp_present: bool,
-    ) -> Result<(), SnapshotError> {
-        self.restarts = r.get_u64()?;
-        self.first_finish_cpu = if r.get_bool()? {
-            Some(r.get_u64()?)
-        } else {
-            None
-        };
-        let accesses = if self.is_sapp {
-            cfg.s_accesses
-        } else {
-            cfg.ns_accesses
-        };
-        let bench = if self.is_sapp {
-            cfg.benchmark
-        } else {
-            cfg.ns_benchmark(core_idx - usize::from(sapp_present))
-        };
-        let stream = trace_stream_id(cfg, core_idx, self.restarts);
-        let gen = TraceGenerator::new(bench.spec(), cfg.seed, stream);
-        self.core.load_state(r, Box::new(gen.finite(accesses)))
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.restarts = r.get()?;
+        self.first_finish_cpu = r.get()?;
+        self.core.load_state(r, self.source.run(self.restarts))
     }
 }
 
@@ -455,12 +479,7 @@ impl Snapshot for Backend {
             } => {
                 fabric.save_state(w);
                 fsm.save_state(w);
-                let mut ids: Vec<u64> = oram_ids.iter().map(|id| id.0).collect();
-                ids.sort_unstable();
-                w.put_usize(ids.len());
-                for id in ids {
-                    w.put_u64(id);
-                }
+                w.put(oram_ids);
             }
             Backend::SecMem { fabric, frontend } => {
                 fabric.save_state(w);
@@ -477,26 +496,9 @@ impl Snapshot for Backend {
                 normals.save_state(w);
                 secure.save_state(w);
                 engine.save_state(w);
-                let mut fwd: Vec<(u64, SplitFetch)> =
-                    split_fwd.iter().map(|(id, f)| (id.0, *f)).collect();
-                fwd.sort_unstable_by_key(|&(id, _)| id);
-                w.put_usize(fwd.len());
-                for (id, f) in fwd {
-                    w.put_u64(id);
-                    put_split_fetch(&f, w);
-                }
-                w.put_usize(pending_split.len());
-                for (f, op) in pending_split {
-                    put_split_fetch(f, w);
-                    w.put_u8(match op {
-                        MemOp::Read => 0,
-                        MemOp::Write => 1,
-                    });
-                }
-                w.put_usize(pending_deliver.len());
-                for f in pending_deliver {
-                    put_split_fetch(f, w);
-                }
+                w.put(split_fwd);
+                w.put(pending_split);
+                w.put(pending_deliver);
             }
         }
     }
@@ -518,10 +520,7 @@ impl Snapshot for Backend {
             } => {
                 fabric.load_state(r)?;
                 fsm.load_state(r)?;
-                oram_ids.clear();
-                for _ in 0..r.get_usize()? {
-                    oram_ids.insert(RequestId(r.get_u64()?));
-                }
+                *oram_ids = r.get()?;
                 Ok(())
             }
             Backend::SecMem { fabric, frontend } => {
@@ -539,27 +538,9 @@ impl Snapshot for Backend {
                 normals.load_state(r)?;
                 secure.load_state(r)?;
                 engine.load_state(r)?;
-                split_fwd.clear();
-                for _ in 0..r.get_usize()? {
-                    let id = RequestId(r.get_u64()?);
-                    split_fwd.insert(id, get_split_fetch(r)?);
-                }
-                pending_split.clear();
-                for _ in 0..r.get_usize()? {
-                    let f = get_split_fetch(r)?;
-                    let op = match r.get_u8()? {
-                        0 => MemOp::Read,
-                        1 => MemOp::Write,
-                        t => {
-                            return Err(SnapshotError::new(format!("bad MemOp tag {t}")));
-                        }
-                    };
-                    pending_split.push_back((f, op));
-                }
-                pending_deliver.clear();
-                for _ in 0..r.get_usize()? {
-                    pending_deliver.push_back(get_split_fetch(r)?);
-                }
+                *split_fwd = r.get()?;
+                *pending_split = r.get()?;
+                *pending_deliver = r.get()?;
                 Ok(())
             }
         }
@@ -619,56 +600,26 @@ impl Snapshot for MemoryState {
             mux_deliver_res: _, // ditto
         } = self;
         backend.save_state(w);
-        idgen.save_state(w);
-        let mut own: Vec<(u64, usize)> = owners.iter().map(|(id, c)| (id.0, *c)).collect();
-        own.sort_unstable_by_key(|&(id, _)| id);
-        w.put_usize(own.len());
-        for (id, core) in own {
-            w.put_u64(id);
-            w.put_usize(core);
-        }
-        ns_read_latency.save_state(w);
-        ns_write_latency.save_state(w);
-        w.put_usize(per_app_read_latency.len());
-        for m in per_app_read_latency {
-            m.save_state(w);
-        }
+        w.put(idgen);
+        w.put(owners);
+        w.put(ns_read_latency);
+        w.put(ns_write_latency);
+        per_app_read_latency.as_slice().save_state(w);
         ns_read_histogram.save_state(w);
-        w.put_usize(ready_reads.len());
-        for (core, id) in ready_reads {
-            w.put_usize(*core);
-            w.put_u64(id.0);
-        }
+        w.put(ready_reads);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.backend.load_state(r)?;
-        self.idgen.load_state(r)?;
-        self.owners.clear();
-        for _ in 0..r.get_usize()? {
-            let id = RequestId(r.get_u64()?);
-            let core = r.get_usize()?;
-            self.owners.insert(id, core);
-        }
-        self.ns_read_latency.load_state(r)?;
-        self.ns_write_latency.load_state(r)?;
-        let n = r.get_usize()?;
-        if n != self.per_app_read_latency.len() {
-            return Err(SnapshotError::new(format!(
-                "per-app latency count mismatch: checkpoint has {n}, configuration builds {}",
-                self.per_app_read_latency.len()
-            )));
-        }
-        for m in &mut self.per_app_read_latency {
-            m.load_state(r)?;
-        }
+        self.idgen = r.get()?;
+        self.owners = r.get()?;
+        self.ns_read_latency = r.get()?;
+        self.ns_write_latency = r.get()?;
+        // The per-app count is configuration: load in place so a
+        // mismatched checkpoint is rejected.
+        self.per_app_read_latency.as_mut_slice().load_state(r)?;
         self.ns_read_histogram.load_state(r)?;
-        self.ready_reads.clear();
-        for _ in 0..r.get_usize()? {
-            let core = r.get_usize()?;
-            let id = RequestId(r.get_u64()?);
-            self.ready_reads.push((core, id));
-        }
+        self.ready_reads = r.get()?;
         Ok(())
     }
 }
@@ -873,25 +824,9 @@ impl Simulation {
         let n_ns = cfg.scheme.ns_apps();
         let n_cores = n_ns + usize::from(sapp);
 
-        // Cores and traces.
-        let mut cores = Vec::with_capacity(n_cores);
-        for core_idx in 0..n_cores {
-            let is_sapp = sapp && core_idx == 0;
-            let accesses = if is_sapp { cfg.s_accesses } else { cfg.ns_accesses };
-            let bench = if is_sapp {
-                cfg.benchmark
-            } else {
-                cfg.ns_benchmark(core_idx - usize::from(sapp))
-            };
-            let stream = trace_stream_id(&cfg, core_idx, 0);
-            let gen = TraceGenerator::new(bench.spec(), cfg.seed, stream);
-            cores.push(CoreSlot {
-                core: TraceCore::new(CoreConfig::default(), Box::new(gen.finite(accesses))),
-                is_sapp,
-                first_finish_cpu: None,
-                restarts: 0,
-            });
-        }
+        let cores = (0..n_cores)
+            .map(|core_idx| CoreSlot::new(&cfg, core_idx))
+            .collect();
 
         // NS routing tables.
         let routers: Vec<NsRouter> = (0..n_ns)
@@ -1168,21 +1103,17 @@ impl Simulation {
             obs,
         } = self;
         let mut w = SnapshotWriter::new();
-        w.put_u64(*cycle);
-        w.put_usize(cores.len());
-        for slot in cores {
-            slot.save_state(&mut w);
-        }
+        w.put(cycle);
+        cores.save_state(&mut w);
         mem.save_state(&mut w);
-        match obs {
-            None => w.put_bool(false),
-            Some(rec) => {
-                w.put_bool(true);
-                let rec = rec.borrow();
-                let (_, _, capacity) = rec.ring_stats();
-                w.put_usize(capacity);
-                rec.save_state(&mut w);
-            }
+        // The recorder travels with its ring capacity, which a resumed run
+        // needs to rebuild it.
+        w.put(&obs.is_some());
+        if let Some(rec) = obs {
+            let rec = rec.borrow();
+            let (_, _, capacity) = rec.ring_stats();
+            w.put(&capacity);
+            rec.save_state(&mut w);
         }
         w.into_bytes()
     }
@@ -1191,27 +1122,18 @@ impl Simulation {
     /// [`snapshot_payload`](Simulation::snapshot_payload).
     fn restore_payload(&mut self, payload: &[u8]) -> Result<(), SnapshotError> {
         let Simulation {
-            cfg,
+            cfg: _,
             cores,
             mem,
             cycle,
             obs,
         } = self;
         let mut r = SnapshotReader::new(payload);
-        *cycle = r.get_u64()?;
-        let n = r.get_usize()?;
-        if n != cores.len() {
-            return Err(SnapshotError::new(format!(
-                "core count mismatch: checkpoint has {n}, configuration builds {}",
-                cores.len()
-            )));
-        }
-        for (core_idx, slot) in cores.iter_mut().enumerate() {
-            slot.load_state(&mut r, cfg, core_idx, mem.sapp_present)?;
-        }
+        *cycle = r.get()?;
+        cores.load_state(&mut r)?;
         mem.load_state(&mut r)?;
-        if r.get_bool()? {
-            let capacity = r.get_usize()?;
+        if r.get()? {
+            let capacity = r.get()?;
             // Filter and sampling interval are run options, not state;
             // `enable_tracing` overrides these defaults when the resumed
             // run passes its own.
@@ -1544,28 +1466,13 @@ impl Simulation {
 
             // Finish / restart bookkeeping.
             let mut all_ns_done = true;
-            for (core_idx, slot) in self.cores.iter_mut().enumerate() {
+            for slot in self.cores.iter_mut() {
                 if slot.core.finished() {
                     if slot.first_finish_cpu.is_none() {
                         slot.first_finish_cpu = Some((m + 1) * CPU_CYCLES_PER_MEM_CYCLE);
                     }
                     // Restart to keep pressure constant.
-                    slot.restarts += 1;
-                    let accesses = if slot.is_sapp {
-                        self.cfg.s_accesses
-                    } else {
-                        self.cfg.ns_accesses
-                    };
-                    let bench = if slot.is_sapp {
-                        self.cfg.benchmark
-                    } else {
-                        self.cfg
-                            .ns_benchmark(core_idx - usize::from(self.mem.sapp_present))
-                    };
-                    let stream = trace_stream_id(&self.cfg, core_idx, slot.restarts);
-                    let gen = TraceGenerator::new(bench.spec(), self.cfg.seed, stream);
-                    slot.core =
-                        TraceCore::new(CoreConfig::default(), Box::new(gen.finite(accesses)));
+                    slot.restart();
                 }
                 if !slot.is_sapp && slot.first_finish_cpu.is_none() {
                     all_ns_done = false;
@@ -1639,30 +1546,23 @@ impl Simulation {
         let energy_params = doram_dram::EnergyParams::ddr3_1600();
         let (channel_utilization, channel_row_hit, oram, secure_link_bytes, channel_energy, faults) =
             match &self.mem.backend {
-                Backend::Plain { fabric } => (
-                    (0..fabric.len()).map(|i| fabric.channel(i).bus_utilization()).collect(),
-                    (0..fabric.len()).map(|i| fabric.channel(i).row_hit_rate()).collect(),
-                    None,
-                    None,
-                    (0..fabric.len()).map(|i| fabric.channel(i).energy(&energy_params)).collect(),
-                    None,
-                ),
-                Backend::BaselineOram { fabric, fsm, .. } => (
-                    (0..fabric.len()).map(|i| fabric.channel(i).bus_utilization()).collect(),
-                    (0..fabric.len()).map(|i| fabric.channel(i).row_hit_rate()).collect(),
-                    Some(summarize(fsm.stats())),
-                    None,
-                    (0..fabric.len()).map(|i| fabric.channel(i).energy(&energy_params)).collect(),
-                    None,
-                ),
-                Backend::SecMem { fabric, .. } => (
-                    (0..fabric.len()).map(|i| fabric.channel(i).bus_utilization()).collect(),
-                    (0..fabric.len()).map(|i| fabric.channel(i).row_hit_rate()).collect(),
-                    None,
-                    None,
-                    (0..fabric.len()).map(|i| fabric.channel(i).energy(&energy_params)).collect(),
-                    None,
-                ),
+                Backend::Plain { fabric }
+                | Backend::BaselineOram { fabric, .. }
+                | Backend::SecMem { fabric, .. } => {
+                    let oram = match &self.mem.backend {
+                        Backend::BaselineOram { fsm, .. } => Some(summarize(fsm.stats())),
+                        _ => None,
+                    };
+                    let channels = (0..fabric.len()).map(|i| fabric.channel(i));
+                    (
+                        channels.clone().map(|c| c.bus_utilization()).collect(),
+                        channels.clone().map(|c| c.row_hit_rate()).collect(),
+                        oram,
+                        None,
+                        channels.map(|c| c.energy(&energy_params)).collect(),
+                        None,
+                    )
+                }
                 Backend::DOram {
                     normals, secure, ..
                 } => {
@@ -1767,11 +1667,6 @@ fn summarize(s: &crate::onchip_oram::OramStats) -> OramSummary {
         access_latency: s.access_latency.mean(),
         read_phase_latency: s.read_phase_latency.mean(),
     }
-}
-
-/// Stream id: distinct per (segment, core, restart).
-fn trace_stream_id(cfg: &SystemConfig, core_idx: usize, restart: u64) -> u64 {
-    cfg.trace_stream * 1_000_000 + core_idx as u64 * 1_000 + restart
 }
 
 /// Disjoint-field view of [`MemoryState`] used while the backend is
@@ -2374,6 +2269,36 @@ mod tests {
             crate::report::report_json(&baseline)
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn restore_rejects_checkpoints_of_other_layouts() {
+        let sim = |scheme, merge| {
+            let cfg = SystemConfig::builder(Benchmark::Libq)
+                .scheme(scheme)
+                .ns_accesses(400)
+                .tree_l_max(12)
+                .merge_split_reads(merge)
+                .build()
+                .unwrap();
+            Simulation::new(cfg).unwrap()
+        };
+        let restore = |from: &Simulation, mut into: Simulation| {
+            let err = into.restore_payload(&from.snapshot_payload()).unwrap_err();
+            err.to_string()
+        };
+        let baseline = sim(Scheme::Baseline, false);
+        let err = restore(&baseline, sim(Scheme::SecureMemory, false));
+        assert!(err.contains("backend flavor mismatch"), "{err}");
+        let err = restore(&baseline, sim(Scheme::Ns7on4, false));
+        assert!(err.contains("CoreSlot count mismatch"), "{err}");
+        let doram = |merge| sim(Scheme::DOram { k: 1, c: 4 }, merge);
+        let err = restore(&doram(false), doram(true));
+        assert!(err.contains("merge-buffer presence mismatch"), "{err}");
+        // The same layout restores.
+        let mut same = doram(false);
+        same.restore_payload(&doram(false).snapshot_payload())
+            .unwrap();
     }
 
     #[test]

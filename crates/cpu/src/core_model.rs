@@ -1,6 +1,6 @@
 //! The trace-driven ROB core.
 
-use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use doram_sim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::stats::Counter;
 use doram_sim::RequestId;
 use doram_trace::{AccessOp, TraceRecord};
@@ -81,43 +81,16 @@ impl CoreStats {
     }
 }
 
-impl doram_sim::snapshot::Snapshot for CoreStats {
-    fn save_state(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
-        let CoreStats {
-            retired,
-            cycles,
-            reads_issued,
-            writes_issued,
-            read_stall_cycles,
-            write_stall_cycles,
-            fetch_stall_cycles,
-            outstanding_read_sum,
-        } = self;
-        retired.save_state(w);
-        cycles.save_state(w);
-        reads_issued.save_state(w);
-        writes_issued.save_state(w);
-        read_stall_cycles.save_state(w);
-        write_stall_cycles.save_state(w);
-        fetch_stall_cycles.save_state(w);
-        outstanding_read_sum.save_state(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.retired.load_state(r)?;
-        self.cycles.load_state(r)?;
-        self.reads_issued.load_state(r)?;
-        self.writes_issued.load_state(r)?;
-        self.read_stall_cycles.load_state(r)?;
-        self.write_stall_cycles.load_state(r)?;
-        self.fetch_stall_cycles.load_state(r)?;
-        self.outstanding_read_sum.load_state(r)?;
-        Ok(())
-    }
-}
+doram_sim::impl_codec!(CoreStats {
+    retired,
+    cycles,
+    reads_issued,
+    writes_issued,
+    read_stall_cycles,
+    write_stall_cycles,
+    fetch_stall_cycles,
+    outstanding_read_sum,
+});
 
 #[derive(Debug, Clone, Copy)]
 enum RobEntry {
@@ -329,21 +302,12 @@ impl TraceCore {
             outstanding: _, // derived from `rob`; rebuilt on load
             stats,
         } = self;
-        w.put_u64(*consumed);
-        w.put_usize(rob.len());
-        for entry in rob {
-            put_rob_entry(entry, w);
-        }
-        w.put_u64(*gap_left);
-        match pending_access {
-            None => w.put_bool(false),
-            Some(rec) => {
-                w.put_bool(true);
-                put_trace_record(rec, w);
-            }
-        }
-        w.put_bool(*trace_done);
-        stats.save_state(w);
+        w.put(consumed);
+        w.put(rob);
+        w.put(gap_left);
+        w.put(pending_access);
+        w.put(trace_done);
+        w.put(stats);
     }
 
     /// Restores the core from a checkpoint written by
@@ -358,7 +322,7 @@ impl TraceCore {
         fresh_trace: Box<dyn Iterator<Item = TraceRecord> + Send>,
     ) -> Result<(), SnapshotError> {
         self.trace = fresh_trace;
-        self.consumed = r.get_u64()?;
+        self.consumed = r.get()?;
         for _ in 0..self.consumed {
             if self.trace.next().is_none() {
                 return Err(SnapshotError::new(format!(
@@ -367,68 +331,43 @@ impl TraceCore {
                 )));
             }
         }
-        self.rob.clear();
-        for _ in 0..r.get_usize()? {
-            self.rob.push_back(get_rob_entry(r)?);
-        }
+        self.rob = r.get()?;
         self.outstanding = self.outstanding_reads().count() as u64;
-        self.gap_left = r.get_u64()?;
-        self.pending_access = if r.get_bool()? {
-            Some(get_trace_record(r)?)
-        } else {
-            None
-        };
-        self.trace_done = r.get_bool()?;
-        self.stats.load_state(r)?;
+        self.gap_left = r.get()?;
+        self.pending_access = r.get()?;
+        self.trace_done = r.get()?;
+        self.stats = r.get()?;
         Ok(())
     }
 }
 
-fn put_rob_entry(entry: &RobEntry, w: &mut SnapshotWriter) {
-    match entry {
-        RobEntry::NonMem => w.put_u8(0),
-        RobEntry::Read { id, done } => {
-            w.put_u8(1);
-            w.put_u64(id.0);
-            w.put_bool(*done);
-        }
-        RobEntry::Write { addr } => {
-            w.put_u8(2);
-            w.put_u64(*addr);
+impl Codec for RobEntry {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match self {
+            RobEntry::NonMem => w.put_u8(0),
+            RobEntry::Read { id, done } => {
+                w.put_u8(1);
+                w.put(id);
+                w.put(done);
+            }
+            RobEntry::Write { addr } => {
+                w.put_u8(2);
+                w.put(addr);
+            }
         }
     }
-}
 
-fn get_rob_entry(r: &mut SnapshotReader<'_>) -> Result<RobEntry, SnapshotError> {
-    Ok(match r.get_u8()? {
-        0 => RobEntry::NonMem,
-        1 => RobEntry::Read {
-            id: RequestId(r.get_u64()?),
-            done: r.get_bool()?,
-        },
-        2 => RobEntry::Write { addr: r.get_u64()? },
-        tag => return Err(SnapshotError::new(format!("bad rob entry tag {tag}"))),
-    })
-}
-
-fn put_trace_record(rec: &TraceRecord, w: &mut SnapshotWriter) {
-    w.put_u64(rec.gap);
-    w.put_u8(match rec.op {
-        AccessOp::Read => 0,
-        AccessOp::Write => 1,
-    });
-    w.put_u64(rec.addr);
-}
-
-fn get_trace_record(r: &mut SnapshotReader<'_>) -> Result<TraceRecord, SnapshotError> {
-    let gap = r.get_u64()?;
-    let op = match r.get_u8()? {
-        0 => AccessOp::Read,
-        1 => AccessOp::Write,
-        tag => return Err(SnapshotError::new(format!("bad access op tag {tag}"))),
-    };
-    let addr = r.get_u64()?;
-    Ok(TraceRecord { gap, op, addr })
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.get_u8()? {
+            0 => RobEntry::NonMem,
+            1 => RobEntry::Read {
+                id: r.get()?,
+                done: r.get()?,
+            },
+            2 => RobEntry::Write { addr: r.get()? },
+            tag => return Err(SnapshotError::new(format!("bad rob entry tag {tag}"))),
+        })
+    }
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@
 //! is what makes the 50/50 split fair).
 
 use crate::request::RequestClass;
+use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Sliding-window share arbiter between [`RequestClass::Oram`] and
 /// [`RequestClass::Normal`] traffic.
@@ -159,8 +160,8 @@ impl ShareArbiter {
     }
 }
 
-impl doram_sim::snapshot::Snapshot for ShareArbiter {
-    fn save_state(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
+impl Snapshot for ShareArbiter {
+    fn save_state(&self, w: &mut SnapshotWriter) {
         // Threshold/window/mode are configuration; only the sliding-window
         // tallies move during a run.
         let ShareArbiter {
@@ -171,16 +172,13 @@ impl doram_sim::snapshot::Snapshot for ShareArbiter {
             normal_in_window,
             enabled: _,
         } = self;
-        w.put_u32(*oram_in_window);
-        w.put_u32(*normal_in_window);
+        w.put(oram_in_window);
+        w.put(normal_in_window);
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.oram_in_window = r.get_u32()?;
-        self.normal_in_window = r.get_u32()?;
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.oram_in_window = r.get()?;
+        self.normal_in_window = r.get()?;
         Ok(())
     }
 }

@@ -5,6 +5,7 @@
 //! the [`DramTiming`] constraints.
 
 use crate::timing::DramTiming;
+use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::MemCycle;
 
 /// State of one DRAM bank.
@@ -98,38 +99,25 @@ impl Bank {
     }
 }
 
-impl doram_sim::snapshot::Snapshot for Bank {
-    fn save_state(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
+impl Snapshot for Bank {
+    fn save_state(&self, w: &mut SnapshotWriter) {
         let Bank {
             open_row,
             ready_act,
             ready_pre,
             ready_col,
         } = self;
-        match open_row {
-            None => w.put_bool(false),
-            Some(row) => {
-                w.put_bool(true);
-                w.put_u64(*row);
-            }
-        }
-        w.put_u64(ready_act.0);
-        w.put_u64(ready_pre.0);
-        w.put_u64(ready_col.0);
+        w.put(open_row);
+        w.put(ready_act);
+        w.put(ready_pre);
+        w.put(ready_col);
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.open_row = if r.get_bool()? {
-            Some(r.get_u64()?)
-        } else {
-            None
-        };
-        self.ready_act = MemCycle(r.get_u64()?);
-        self.ready_pre = MemCycle(r.get_u64()?);
-        self.ready_col = MemCycle(r.get_u64()?);
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.open_row = r.get()?;
+        self.ready_act = r.get()?;
+        self.ready_pre = r.get()?;
+        self.ready_col = r.get()?;
         Ok(())
     }
 }

@@ -1,6 +1,6 @@
 //! Memory requests and completions at the DRAM boundary.
 
-use doram_sim::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use doram_sim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{AppId, MemCycle, RequestId};
 
 /// Read or write, from the memory system's point of view.
@@ -57,90 +57,52 @@ impl Completion {
     }
 }
 
-/// Encodes a [`MemOp`] for snapshots.
-pub fn put_mem_op(w: &mut SnapshotWriter, op: MemOp) {
-    w.put_u8(match op {
-        MemOp::Read => 0,
-        MemOp::Write => 1,
-    });
-}
+impl Codec for MemOp {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put_u8(match self {
+            MemOp::Read => 0,
+            MemOp::Write => 1,
+        });
+    }
 
-/// Decodes a [`MemOp`] written by [`put_mem_op`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError`] on truncation or an unknown tag.
-pub fn get_mem_op(r: &mut SnapshotReader<'_>) -> Result<MemOp, SnapshotError> {
-    match r.get_u8()? {
-        0 => Ok(MemOp::Read),
-        1 => Ok(MemOp::Write),
-        tag => Err(SnapshotError::new(format!("unknown MemOp tag {tag}"))),
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.get_u8()? {
+            0 => Ok(MemOp::Read),
+            1 => Ok(MemOp::Write),
+            tag => Err(SnapshotError::new(format!("unknown MemOp tag {tag}"))),
+        }
     }
 }
 
-/// Encodes a [`MemRequest`] for snapshots.
-pub fn put_mem_request(w: &mut SnapshotWriter, req: &MemRequest) {
-    let MemRequest {
-        id,
-        app,
-        op,
-        addr,
-        class,
-        arrival,
-    } = req;
-    w.put_u64(id.0);
-    w.put_usize(app.0);
-    put_mem_op(w, *op);
-    w.put_u64(*addr);
-    w.put_u8(match class {
-        RequestClass::Normal => 0,
-        RequestClass::Oram => 1,
-    });
-    w.put_u64(arrival.0);
+impl Codec for RequestClass {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put_u8(match self {
+            RequestClass::Normal => 0,
+            RequestClass::Oram => 1,
+        });
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.get_u8()? {
+            0 => Ok(RequestClass::Normal),
+            1 => Ok(RequestClass::Oram),
+            tag => Err(SnapshotError::new(format!(
+                "unknown RequestClass tag {tag}"
+            ))),
+        }
+    }
 }
 
-/// Decodes a [`MemRequest`] written by [`put_mem_request`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError`] on truncation or an unknown tag.
-pub fn get_mem_request(r: &mut SnapshotReader<'_>) -> Result<MemRequest, SnapshotError> {
-    Ok(MemRequest {
-        id: RequestId(r.get_u64()?),
-        app: AppId(r.get_usize()?),
-        op: get_mem_op(r)?,
-        addr: r.get_u64()?,
-        class: match r.get_u8()? {
-            0 => RequestClass::Normal,
-            1 => RequestClass::Oram,
-            tag => {
-                return Err(SnapshotError::new(format!(
-                    "unknown RequestClass tag {tag}"
-                )))
-            }
-        },
-        arrival: MemCycle(r.get_u64()?),
-    })
-}
+doram_sim::impl_codec!(MemRequest {
+    id,
+    app,
+    op,
+    addr,
+    class,
+    arrival
+});
 
-/// Encodes a [`Completion`] for snapshots.
-pub fn put_completion(w: &mut SnapshotWriter, c: &Completion) {
-    let Completion { request, finished } = c;
-    put_mem_request(w, request);
-    w.put_u64(finished.0);
-}
-
-/// Decodes a [`Completion`] written by [`put_completion`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError`] on truncation or an unknown tag.
-pub fn get_completion(r: &mut SnapshotReader<'_>) -> Result<Completion, SnapshotError> {
-    Ok(Completion {
-        request: get_mem_request(r)?,
-        finished: MemCycle(r.get_u64()?),
-    })
-}
+doram_sim::impl_codec!(Completion { request, finished });
 
 #[cfg(test)]
 mod tests {

@@ -6,6 +6,7 @@
 //! [`EventKind::AccessEnd`] (and the SD-side kinds likewise) by the
 //! event's access sequence number.
 
+use doram_sim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::fmt;
 
 /// Sentinel access id for events not attributable to one ORAM access
@@ -256,35 +257,29 @@ pub struct Event {
     pub subsystem: Subsystem,
 }
 
-impl Event {
-    /// Serializes the event (fixed 26 bytes) for checkpointing.
-    pub fn save(&self, w: &mut doram_sim::snapshot::SnapshotWriter) {
-        w.put_u64(self.cycle);
-        w.put_u64(self.access);
-        w.put_u64(self.value);
-        w.put_u8(self.kind as u8);
-        w.put_u8(self.subsystem as u8);
+impl Codec for Event {
+    fn put(&self, w: &mut SnapshotWriter) {
+        let Event {
+            cycle,
+            access,
+            value,
+            kind,
+            subsystem,
+        } = self;
+        w.put(cycle);
+        w.put(access);
+        w.put(value);
+        w.put_u8(*kind as u8);
+        w.put_u8(*subsystem as u8);
     }
 
-    /// Restores an event written by [`Event::save`].
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated input or unknown tags.
-    pub fn load(
-        r: &mut doram_sim::snapshot::SnapshotReader<'_>,
-    ) -> Result<Event, doram_sim::snapshot::SnapshotError> {
-        let cycle = r.get_u64()?;
-        let access = r.get_u64()?;
-        let value = r.get_u64()?;
-        let kind_tag = r.get_u8()?;
-        let sub_tag = r.get_u8()?;
-        let kind = EventKind::from_tag(kind_tag).ok_or_else(|| {
-            doram_sim::snapshot::SnapshotError::new(format!("bad event kind tag {kind_tag}"))
-        })?;
-        let subsystem = Subsystem::from_tag(sub_tag).ok_or_else(|| {
-            doram_sim::snapshot::SnapshotError::new(format!("bad subsystem tag {sub_tag}"))
-        })?;
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let (cycle, access, value) = (r.get()?, r.get()?, r.get()?);
+        let (kind_tag, sub_tag): (u8, u8) = r.get()?;
+        let kind = EventKind::from_tag(kind_tag)
+            .ok_or_else(|| SnapshotError::new(format!("bad event kind tag {kind_tag}")))?;
+        let subsystem = Subsystem::from_tag(sub_tag)
+            .ok_or_else(|| SnapshotError::new(format!("bad subsystem tag {sub_tag}")))?;
         Ok(Event {
             cycle,
             access,
@@ -324,7 +319,6 @@ mod tests {
 
     #[test]
     fn event_snapshot_round_trips() {
-        use doram_sim::snapshot::{SnapshotReader, SnapshotWriter};
         let e = Event {
             cycle: 17,
             access: 3,
@@ -333,9 +327,13 @@ mod tests {
             subsystem: Subsystem::Link,
         };
         let mut w = SnapshotWriter::new();
-        e.save(&mut w);
+        w.put(&e);
         let bytes = w.into_bytes();
         let mut r = SnapshotReader::new(&bytes);
-        assert_eq!(Event::load(&mut r).unwrap(), e);
+        assert_eq!(r.get::<Event>().unwrap(), e);
+        let mut bad = bytes.clone();
+        bad[24] = u8::MAX;
+        let bad_kind = SnapshotReader::new(&bad).get::<Event>();
+        assert!(bad_kind.is_err(), "bad kind tag");
     }
 }

@@ -13,7 +13,7 @@
 //! counted in [`LogHistogram::saturated`], so a runaway tail can never
 //! grow the memory footprint.
 
-use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use doram_sim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Linear sub-buckets per power-of-two magnitude (4 significant bits).
 pub const SUBBUCKETS: u64 = 16;
@@ -191,8 +191,8 @@ impl LogHistogram {
     }
 }
 
-impl Snapshot for LogHistogram {
-    fn save_state(&self, w: &mut SnapshotWriter) {
+impl Codec for LogHistogram {
+    fn put(&self, w: &mut SnapshotWriter) {
         let LogHistogram {
             buckets,
             total,
@@ -201,45 +201,43 @@ impl Snapshot for LogHistogram {
             max,
             saturated,
         } = self;
-        w.put_u64(*total);
-        w.put_u64(*sum);
-        w.put_u64(*min);
-        w.put_u64(*max);
-        w.put_u64(*saturated);
-        // Sparse: most of the ~600 buckets are empty in practice.
-        let occupied = buckets.iter().filter(|&&n| n != 0).count();
-        w.put_usize(occupied);
-        for (idx, &n) in buckets.iter().enumerate() {
-            if n != 0 {
-                w.put_usize(idx);
-                w.put_u64(n);
-            }
-        }
+        w.put(total);
+        w.put(sum);
+        w.put(min);
+        w.put(max);
+        w.put(saturated);
+        // Sparse `(index, count)` pairs: most of the ~600 buckets are
+        // empty in practice.
+        let occupied: Vec<(usize, u64)> = (0..)
+            .zip(buckets.iter().copied())
+            .filter(|&(_, n)| n != 0)
+            .collect();
+        w.put(&occupied);
     }
 
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.total = r.get_u64()?;
-        self.sum = r.get_u64()?;
-        self.min = r.get_u64()?;
-        self.max = r.get_u64()?;
-        self.saturated = r.get_u64()?;
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        for _ in 0..r.get_usize()? {
-            let idx = r.get_usize()?;
-            let n = r.get_u64()?;
-            let slot = self
-                .buckets
-                .get_mut(idx)
-                .ok_or_else(|| SnapshotError::new(format!("histogram bucket {idx} out of range")))?;
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let mut h = LogHistogram {
+            total: r.get()?,
+            sum: r.get()?,
+            min: r.get()?,
+            max: r.get()?,
+            saturated: r.get()?,
+            ..LogHistogram::new()
+        };
+        for (idx, n) in r.get::<Vec<(usize, u64)>>()? {
+            let slot = h.buckets.get_mut(idx).ok_or_else(|| {
+                SnapshotError::new(format!("histogram bucket {idx} out of range"))
+            })?;
             *slot = n;
         }
-        Ok(())
+        Ok(h)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use doram_sim::snapshot::Snapshot;
 
     #[test]
     fn empty_reports_nothing() {

@@ -139,6 +139,8 @@ impl MetricsRegistry {
     }
 }
 
+doram_sim::impl_codec!(TimeSeries { name, last, points });
+
 impl Snapshot for MetricsRegistry {
     fn save_state(&self, w: &mut SnapshotWriter) {
         let MetricsRegistry {
@@ -147,33 +149,13 @@ impl Snapshot for MetricsRegistry {
             series,
             samples,
         } = self;
-        w.put_u64(*samples);
-        w.put_usize(series.len());
-        for s in series {
-            w.put_str(&s.name);
-            w.put_f64(s.last);
-            w.put_usize(s.points.len());
-            for (c, v) in &s.points {
-                w.put_u64(*c);
-                w.put_f64(*v);
-            }
-        }
+        w.put(samples);
+        w.put(series);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.samples = r.get_u64()?;
-        self.series.clear();
-        for _ in 0..r.get_usize()? {
-            let name = r.get_str()?;
-            let last = r.get_f64()?;
-            let mut points = Vec::new();
-            for _ in 0..r.get_usize()? {
-                let c = r.get_u64()?;
-                let v = r.get_f64()?;
-                points.push((c, v));
-            }
-            self.series.push(TimeSeries { name, last, points });
-        }
+        self.samples = r.get()?;
+        self.series = r.get()?;
         Ok(())
     }
 }

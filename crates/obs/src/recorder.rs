@@ -287,6 +287,16 @@ impl Recorder {
     }
 }
 
+doram_sim::impl_codec!(AccessSeq {
+    engine_sent,
+    engine_resp,
+    sd_arrived,
+    sd_waiting,
+    sd_current,
+    sd_read_done,
+    sd_access_done,
+});
+
 impl Snapshot for Recorder {
     fn save_state(&self, w: &mut SnapshotWriter) {
         let Recorder {
@@ -301,65 +311,22 @@ impl Snapshot for Recorder {
             prof: _, // host wall-clock state: never checkpointed
         } = self;
         ring.save_state(w);
-        let AccessSeq {
-            engine_sent,
-            engine_resp,
-            sd_arrived,
-            sd_waiting,
-            sd_current,
-            sd_read_done,
-            sd_access_done,
-        } = seq;
-        w.put_u64(*engine_sent);
-        w.put_u64(*engine_resp);
-        w.put_u64(*sd_arrived);
-        w.put_usize(sd_waiting.len());
-        for (id, real) in sd_waiting {
-            w.put_u64(*id);
-            w.put_bool(*real);
-        }
-        w.put_u64(*sd_current);
-        w.put_u64(*sd_read_done);
-        w.put_u64(*sd_access_done);
+        w.put(seq);
         metrics.save_state(w);
-        blame.save_state(w);
-        hist_access.save_state(w);
-        for h in hist_class {
-            h.save_state(w);
-        }
-        w.put_usize(inflight_sends.len());
-        for (cycle, real) in inflight_sends {
-            w.put_u64(*cycle);
-            w.put_bool(*real);
-        }
+        w.put(blame);
+        w.put(hist_access);
+        w.put(hist_class);
+        w.put(inflight_sends);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.ring.load_state(r)?;
-        self.seq.engine_sent = r.get_u64()?;
-        self.seq.engine_resp = r.get_u64()?;
-        self.seq.sd_arrived = r.get_u64()?;
-        self.seq.sd_waiting.clear();
-        for _ in 0..r.get_usize()? {
-            let id = r.get_u64()?;
-            let real = r.get_bool()?;
-            self.seq.sd_waiting.push_back((id, real));
-        }
-        self.seq.sd_current = r.get_u64()?;
-        self.seq.sd_read_done = r.get_u64()?;
-        self.seq.sd_access_done = r.get_u64()?;
+        self.seq = r.get()?;
         self.metrics.load_state(r)?;
-        self.blame.load_state(r)?;
-        self.hist_access.load_state(r)?;
-        for h in self.hist_class.iter_mut() {
-            h.load_state(r)?;
-        }
-        self.inflight_sends.clear();
-        for _ in 0..r.get_usize()? {
-            let cycle = r.get_u64()?;
-            let real = r.get_bool()?;
-            self.inflight_sends.push_back((cycle, real));
-        }
+        self.blame = r.get()?;
+        self.hist_access = r.get()?;
+        self.hist_class = r.get()?;
+        self.inflight_sends = r.get()?;
         Ok(())
     }
 }

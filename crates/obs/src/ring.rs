@@ -96,26 +96,22 @@ impl Snapshot for EventRing {
             head: _,
             dropped,
         } = self;
-        w.put_u64(*dropped);
-        w.put_usize(self.len());
-        for e in self.iter() {
-            e.save(w);
-        }
+        w.put(dropped);
+        w.put(&self.iter().copied().collect::<Vec<Event>>());
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.clear();
-        self.dropped = r.get_u64()?;
-        let n = r.get_usize()?;
-        if n > self.cap {
+        self.dropped = r.get()?;
+        let events: Vec<Event> = r.get()?;
+        if events.len() > self.cap {
             return Err(SnapshotError::new(format!(
-                "event ring holds {n} events, capacity is {}",
+                "event ring holds {} events, capacity is {}",
+                events.len(),
                 self.cap
             )));
         }
-        for _ in 0..n {
-            self.buf.push(Event::load(r)?);
-        }
+        self.buf.extend(events);
         Ok(())
     }
 }

@@ -10,6 +10,7 @@
 use crate::layout::{SubtreeLayout, TreeTopCache};
 use crate::split::SplitConfig;
 use crate::tree::TreeGeometry;
+use doram_sim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Where a tree block physically lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -220,6 +221,31 @@ impl Planner {
         AccessPlan { leaf, blocks }
     }
 }
+
+impl Codec for Placement {
+    fn put(&self, w: &mut SnapshotWriter) {
+        let (tag, unit) = match self {
+            Placement::TreeUnit(u) => (0u8, u),
+            Placement::NormalChannel(c) => (1, c),
+        };
+        w.put(&tag);
+        w.put(unit);
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.get_u8()? {
+            0 => Ok(Placement::TreeUnit(r.get()?)),
+            1 => Ok(Placement::NormalChannel(r.get()?)),
+            tag => Err(SnapshotError::new(format!("bad placement tag {tag}"))),
+        }
+    }
+}
+
+doram_sim::impl_codec!(BlockRef {
+    placement,
+    addr,
+    level
+});
 
 #[cfg(test)]
 mod tests {

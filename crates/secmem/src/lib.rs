@@ -134,16 +134,16 @@ impl doram_sim::snapshot::Snapshot for SecureMemoryEngine {
             rng,
             expanded,
         } = self;
-        rng.save_state(w);
-        w.put_u64(*expanded);
+        w.put(rng);
+        w.put(expanded);
     }
 
     fn load_state(
         &mut self,
         r: &mut doram_sim::snapshot::SnapshotReader<'_>,
     ) -> Result<(), doram_sim::snapshot::SnapshotError> {
-        self.rng.load_state(r)?;
-        self.expanded = r.get_u64()?;
+        self.rng = r.get()?;
+        self.expanded = r.get()?;
         Ok(())
     }
 }

@@ -22,6 +22,7 @@
 use crate::clock::MemCycle;
 use crate::error::SimError;
 use crate::rng::Xoshiro256;
+use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Salt mixed into the plan seed so injector streams never collide with the
 /// trace/ORAM RNG streams derived from the same experiment seed.
@@ -595,46 +596,19 @@ impl AdversaryPlan {
     }
 }
 
-impl crate::snapshot::Snapshot for FaultCounts {
-    fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        let FaultCounts {
-            corrupt_frames,
-            drop_frames,
-            delay_frames,
-            bit_flips,
-            forged_macs,
-            replays,
-            relocations,
-            rollback_bursts,
-        } = self;
-        w.put_u64(*corrupt_frames);
-        w.put_u64(*drop_frames);
-        w.put_u64(*delay_frames);
-        w.put_u64(*bit_flips);
-        w.put_u64(*forged_macs);
-        w.put_u64(*replays);
-        w.put_u64(*relocations);
-        w.put_u64(*rollback_bursts);
-    }
+crate::impl_codec!(FaultCounts {
+    corrupt_frames,
+    drop_frames,
+    delay_frames,
+    bit_flips,
+    forged_macs,
+    replays,
+    relocations,
+    rollback_bursts,
+});
 
-    fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.corrupt_frames = r.get_u64()?;
-        self.drop_frames = r.get_u64()?;
-        self.delay_frames = r.get_u64()?;
-        self.bit_flips = r.get_u64()?;
-        self.forged_macs = r.get_u64()?;
-        self.replays = r.get_u64()?;
-        self.relocations = r.get_u64()?;
-        self.rollback_bursts = r.get_u64()?;
-        Ok(())
-    }
-}
-
-impl crate::snapshot::Snapshot for FaultInjector {
-    fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
+impl Snapshot for FaultInjector {
+    fn save_state(&self, w: &mut SnapshotWriter) {
         // The plan and site are configuration; only the roll cursor and
         // tallies move.
         let FaultInjector {
@@ -643,16 +617,13 @@ impl crate::snapshot::Snapshot for FaultInjector {
             rng,
             counts,
         } = self;
-        rng.save_state(w);
-        counts.save_state(w);
+        w.put(rng);
+        w.put(counts);
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.rng.load_state(r)?;
-        self.counts.load_state(r)?;
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.rng = r.get()?;
+        self.counts = r.get()?;
         Ok(())
     }
 }

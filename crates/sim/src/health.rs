@@ -28,7 +28,7 @@
 //! and issues no traffic, so attaching it cannot perturb a simulation.
 
 use crate::clock::MemCycle;
-use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use crate::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// The condition of one fault-tolerant component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -61,10 +61,6 @@ impl HealthState {
             HealthState::Quarantined => "quarantined",
             HealthState::Probation => "probation",
         }
-    }
-
-    fn from_tag(tag: u8) -> Option<HealthState> {
-        ALL_HEALTH_STATES.get(tag as usize).copied()
     }
 }
 
@@ -274,6 +270,20 @@ impl HealthMonitor {
     }
 }
 
+impl Codec for HealthState {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put_u8(*self as u8);
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let tag = r.get_u8()?;
+        ALL_HEALTH_STATES
+            .get(usize::from(tag))
+            .copied()
+            .ok_or_else(|| SnapshotError::new(format!("bad health state tag {tag}")))
+    }
+}
+
 impl Snapshot for HealthMonitor {
     fn save_state(&self, w: &mut SnapshotWriter) {
         // The policy is configuration; only the machine's position moves.
@@ -286,23 +296,21 @@ impl Snapshot for HealthMonitor {
             quarantine_entries,
             closed_unhealthy_cycles,
         } = self;
-        w.put_u8(*state as u8);
-        w.put_u32(*consecutive_failures);
-        w.put_u32(*probe_successes);
-        w.put_u64(*since);
-        w.put_u32(*quarantine_entries);
-        w.put_u64(*closed_unhealthy_cycles);
+        w.put(state);
+        w.put(consecutive_failures);
+        w.put(probe_successes);
+        w.put(since);
+        w.put(quarantine_entries);
+        w.put(closed_unhealthy_cycles);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let tag = r.get_u8()?;
-        self.state = HealthState::from_tag(tag)
-            .ok_or_else(|| SnapshotError::new(format!("bad health state tag {tag}")))?;
-        self.consecutive_failures = r.get_u32()?;
-        self.probe_successes = r.get_u32()?;
-        self.since = r.get_u64()?;
-        self.quarantine_entries = r.get_u32()?;
-        self.closed_unhealthy_cycles = r.get_u64()?;
+        self.state = r.get()?;
+        self.consecutive_failures = r.get()?;
+        self.probe_successes = r.get()?;
+        self.since = r.get()?;
+        self.quarantine_entries = r.get()?;
+        self.closed_unhealthy_cycles = r.get()?;
         Ok(())
     }
 }
@@ -430,7 +438,10 @@ mod tests {
     fn names_are_unique_and_ordered() {
         for (i, s) in ALL_HEALTH_STATES.iter().enumerate() {
             assert_eq!(*s as u8, i as u8);
-            assert_eq!(HealthState::from_tag(i as u8), Some(*s));
+            let decoded: HealthState = SnapshotReader::new(&[i as u8]).get().unwrap();
+            assert_eq!(decoded, *s);
         }
+        let bad = SnapshotReader::new(&[ALL_HEALTH_STATES.len() as u8]).get::<HealthState>();
+        assert!(bad.is_err(), "an unknown state tag is rejected");
     }
 }

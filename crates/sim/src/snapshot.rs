@@ -7,7 +7,10 @@
 //! `load_state` overwrites that state in-place from a [`SnapshotReader`].
 //! Configuration-derived structure (capacities, timings, wiring) is *not*
 //! serialized — a restore target is always freshly built from the same
-//! configuration first, so only the dynamic fields need to travel.
+//! configuration first, so only the dynamic fields need to travel. The
+//! fields themselves are plain values encoded through [`Codec`], which
+//! fixes one encoding per type (length-prefixed sequences, key-ordered
+//! maps, tagged enums), so a component's snapshot is its field list.
 //!
 //! The file format is versioned and checksummed (FNV-1a 64): a truncated,
 //! corrupted, or incompatible checkpoint is rejected with a typed
@@ -33,7 +36,9 @@
 //! ```
 
 use crate::error::{ConfigError, SimError};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
 use std::io::Write;
 use std::path::Path;
 
@@ -216,6 +221,11 @@ impl SnapshotWriter {
         self.put_bytes(v.as_bytes());
     }
 
+    /// Appends any [`Codec`] value.
+    pub fn put<T: Codec>(&mut self, v: &T) {
+        v.put(self);
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -351,6 +361,15 @@ impl<'a> SnapshotReader<'a> {
             .map_err(|_| SnapshotError::new("invalid UTF-8 in snapshot string"))
     }
 
+    /// Reads any [`Codec`] value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError`] on truncation or a malformed encoding.
+    pub fn get<T: Codec>(&mut self) -> Result<T, SnapshotError> {
+        T::get(self)
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -384,97 +403,385 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Encodes a [`SimError`] (variant tag + fields).
-pub fn put_sim_error(w: &mut SnapshotWriter, e: &SimError) {
-    match e {
-        SimError::Config(c) => {
-            w.put_u8(0);
-            w.put_str(c.message());
+/// A plain value with exactly one checkpoint encoding.
+///
+/// Components that are rebuilt from configuration and restored in place
+/// implement [`Snapshot`]; everything they carry that is a plain value —
+/// counters, cycles, ids, queued messages, maps — implements `Codec`, so a
+/// component's `save_state`/`load_state` is one [`put`](Codec::put) and
+/// one [`get`](Codec::get) per field, and every `Codec` value is also a
+/// [`Snapshot`] that is restored by replacement.
+///
+/// The encodings, shared by every component:
+///
+/// - integers little-endian at their width, `usize` as `u64`, `bool` as
+///   one byte (0/1), `f64` by its bit pattern, strings as a length-prefixed
+///   UTF-8 byte string; id and cycle newtypes as their inner integer;
+/// - `[T; N]` and tuples as their items in order, with no length;
+/// - `Option<T>` as a `bool` presence byte followed by the value;
+/// - `Vec`/`VecDeque` as a `usize` length followed by the items;
+/// - maps and sets as a `usize` length followed by the entries (key, then
+///   value) in ascending key order, so the bytes never depend on hash or
+///   insertion order;
+/// - enums as a `u8` variant tag followed by the variant's fields; an
+///   unknown tag decodes to a [`SnapshotErrorKind::Malformed`] error.
+pub trait Codec: Sized {
+    /// Appends the encoding of `self`.
+    fn put(&self, w: &mut SnapshotWriter);
+
+    /// Decodes one value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError`] on truncation or a malformed encoding.
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
+}
+
+/// Implements [`Codec`] for a struct from its field list: `put` writes the
+/// fields in the listed order and `get` reads them back in the same order,
+/// so the two cannot drift apart. The list must name every field (the
+/// generated code destructures the struct without `..`), so a new field
+/// cannot be left out of the encoding silently. Type parameters, if any,
+/// must themselves be [`Codec`].
+///
+/// ```
+/// use doram_sim::snapshot::{SnapshotReader, SnapshotWriter};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Tally {
+///     hits: u64,
+///     misses: u64,
+/// }
+/// doram_sim::impl_codec!(Tally { hits, misses });
+///
+/// let mut w = SnapshotWriter::new();
+/// w.put(&Tally { hits: 3, misses: 1 });
+/// let bytes = w.into_bytes();
+/// let back: Tally = SnapshotReader::new(&bytes).get().unwrap();
+/// assert_eq!(back, Tally { hits: 3, misses: 1 });
+/// ```
+#[macro_export]
+macro_rules! impl_codec {
+    ($name:ident $(<$($param:ident),+>)? { $($field:ident),+ $(,)? }) => {
+        impl$(<$($param: $crate::snapshot::Codec),+>)? $crate::snapshot::Codec
+            for $name$(<$($param),+>)?
+        {
+            fn put(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                let $name { $($field),+ } = self;
+                $(w.put($field);)+
+            }
+
+            fn get(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> ::std::result::Result<Self, $crate::snapshot::SnapshotError> {
+                ::std::result::Result::Ok($name { $($field: r.get()?),+ })
+            }
         }
-        SimError::Fault { site, detail } => {
-            w.put_u8(1);
-            w.put_str(site);
-            w.put_str(detail);
-        }
-        SimError::IntegrityViolation { addr, detail } => {
-            w.put_u8(2);
-            w.put_u64(*addr);
-            w.put_str(detail);
-        }
-        SimError::LinkTimeout { attempts, detail } => {
-            w.put_u8(3);
-            w.put_u32(*attempts);
-            w.put_str(detail);
-        }
-        SimError::Protocol { detail } => {
-            w.put_u8(4);
-            w.put_str(detail);
-        }
-        SimError::StashOverflow {
-            occupancy,
-            capacity,
-        } => {
-            w.put_u8(5);
-            w.put_usize(*occupancy);
-            w.put_usize(*capacity);
-        }
+    };
+}
+
+impl<T: Codec> Snapshot for T {
+    fn save_state(&self, w: &mut SnapshotWriter) {
+        self.put(w);
+    }
+
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        *self = T::get(r)?;
+        Ok(())
     }
 }
 
-/// Decodes a [`SimError`] written by [`put_sim_error`].
-///
-/// # Errors
-///
-/// Returns [`SnapshotError`] on truncation or an unknown variant tag.
-pub fn get_sim_error(r: &mut SnapshotReader<'_>) -> Result<SimError, SnapshotError> {
-    match r.get_u8()? {
-        0 => Ok(SimError::Config(ConfigError::new(r.get_str()?))),
-        1 => Ok(SimError::Fault {
-            site: r.get_str()?,
-            detail: r.get_str()?,
-        }),
-        2 => Ok(SimError::IntegrityViolation {
-            addr: r.get_u64()?,
-            detail: r.get_str()?,
-        }),
-        3 => Ok(SimError::LinkTimeout {
-            attempts: r.get_u32()?,
-            detail: r.get_str()?,
-        }),
-        4 => Ok(SimError::Protocol {
-            detail: r.get_str()?,
-        }),
-        5 => Ok(SimError::StashOverflow {
-            occupancy: r.get_usize()?,
-            capacity: r.get_usize()?,
-        }),
-        tag => Err(SnapshotError::new(format!("unknown SimError tag {tag}"))),
-    }
-}
-
-/// Encodes an optional latched fault.
-pub fn put_opt_sim_error(w: &mut SnapshotWriter, e: &Option<SimError>) {
-    match e {
-        None => w.put_bool(false),
-        Some(e) => {
-            w.put_bool(true);
-            put_sim_error(w, e);
+/// A sequence of in-place components, encoded like a `Vec`: the count,
+/// then each element. The count is configuration, so a checkpoint whose
+/// count differs from the target's is rejected.
+impl<T: Snapshot> Snapshot for [T] {
+    fn save_state(&self, w: &mut SnapshotWriter) {
+        w.put_usize(self.len());
+        for item in self {
+            item.save_state(w);
         }
     }
+
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let n = r.get_usize()?;
+        if n != self.len() {
+            let what = std::any::type_name::<T>().rsplit("::").next().unwrap_or("");
+            return Err(SnapshotError::new(format!(
+                "{what} count mismatch: checkpoint has {n}, configuration builds {}",
+                self.len()
+            )));
+        }
+        self.iter_mut().try_for_each(|item| item.load_state(r))
+    }
 }
 
-/// Decodes an optional latched fault.
+macro_rules! codec_via {
+    ($($t:ty => $put:ident, $get:ident;)*) => {$(
+        impl Codec for $t {
+            fn put(&self, w: &mut SnapshotWriter) {
+                w.$put(*self);
+            }
+
+            fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+                r.$get()
+            }
+        }
+    )*};
+}
+
+codec_via! {
+    u8 => put_u8, get_u8;
+    u32 => put_u32, get_u32;
+    u64 => put_u64, get_u64;
+    usize => put_usize, get_usize;
+    bool => put_bool, get_bool;
+    f64 => put_f64, get_f64;
+}
+
+/// Newtypes over an integer encode as that integer.
+macro_rules! codec_newtype {
+    ($($t:ty),*) => {$(
+        impl Codec for $t {
+            fn put(&self, w: &mut SnapshotWriter) {
+                self.0.put(w);
+            }
+
+            fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+                Codec::get(r).map(Self)
+            }
+        }
+    )*};
+}
+
+codec_newtype!(
+    crate::MemCycle,
+    crate::CpuCycle,
+    crate::RequestId,
+    crate::CoreId,
+    crate::AppId,
+    crate::ChannelId,
+    crate::SubChannelId
+);
+
+impl Codec for () {
+    fn put(&self, _: &mut SnapshotWriter) {}
+
+    fn get(_: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(())
+    }
+}
+
+impl Codec for String {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put_str(self);
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        r.get_str()
+    }
+}
+
+macro_rules! codec_tuple {
+    ($($name:ident),+) => {
+        impl<$($name: Codec),+> Codec for ($($name,)+) {
+            #[allow(non_snake_case)]
+            fn put(&self, w: &mut SnapshotWriter) {
+                let ($($name,)+) = self;
+                $($name.put(w);)+
+            }
+
+            fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+                Ok(($($name::get(r)?,)+))
+            }
+        }
+    };
+}
+
+codec_tuple!(A, B);
+codec_tuple!(A, B, C);
+
+impl<T: Codec, const N: usize> Codec for [T; N] {
+    fn put(&self, w: &mut SnapshotWriter) {
+        self.iter().for_each(|v| v.put(w));
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let items = (0..N).map(|_| T::get(r)).collect::<Result<Vec<T>, _>>()?;
+        Ok(items
+            .try_into()
+            .unwrap_or_else(|_| unreachable!("exactly N items")))
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put_bool(self.is_some());
+        if let Some(v) = self {
+            v.put(w);
+        }
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        r.get_bool()?.then(|| T::get(r)).transpose()
+    }
+}
+
+/// Writes a length-prefixed sequence.
+fn put_seq<'a, T: Codec + 'a>(w: &mut SnapshotWriter, items: impl ExactSizeIterator<Item = &'a T>) {
+    w.put_usize(items.len());
+    items.for_each(|v| v.put(w));
+}
+
+/// Reads a length-prefixed sequence into any collection.
 ///
-/// # Errors
-///
-/// Returns [`SnapshotError`] on truncation or an unknown variant tag.
-pub fn get_opt_sim_error(
-    r: &mut SnapshotReader<'_>,
-) -> Result<Option<SimError>, SnapshotError> {
-    if r.get_bool()? {
-        Ok(Some(get_sim_error(r)?))
-    } else {
-        Ok(None)
+/// Every item of a non-zero-sized type encodes to at least one byte, so a
+/// count larger than the bytes left is rejected as truncated up front: a
+/// hostile length prefix can neither allocate nor loop.
+fn get_seq<T: Codec, C: FromIterator<T>>(r: &mut SnapshotReader<'_>) -> Result<C, SnapshotError> {
+    let n = r.get_usize()?;
+    if std::mem::size_of::<T>() > 0 && n > r.remaining() {
+        return Err(SnapshotError::of_kind(
+            SnapshotErrorKind::Truncated,
+            format!("{n} items announced, only {} bytes remain", r.remaining()),
+        ));
+    }
+    (0..n).map(|_| T::get(r)).collect()
+}
+
+/// Writes map entries (or set members, with `()` values) as a
+/// length-prefixed sequence in ascending key order.
+fn put_entries<'a, K: Codec + Ord + 'a, V: Codec + 'a>(
+    w: &mut SnapshotWriter,
+    entries: impl Iterator<Item = (&'a K, &'a V)>,
+) {
+    let mut entries: Vec<(&K, &V)> = entries.collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    w.put_usize(entries.len());
+    for (k, v) in entries {
+        k.put(w);
+        v.put(w);
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_seq(w, self.iter());
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        get_seq(r)
+    }
+}
+
+impl<T: Codec> Codec for VecDeque<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_seq(w, self.iter());
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        get_seq(r)
+    }
+}
+
+impl<K: Codec + Ord + Hash, V: Codec, S: BuildHasher + Default> Codec for HashMap<K, V, S> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_entries(w, self.iter());
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        get_seq(r)
+    }
+}
+
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_entries(w, self.iter());
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        get_seq(r)
+    }
+}
+
+impl<K: Codec + Ord + Hash, S: BuildHasher + Default> Codec for HashSet<K, S> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_entries(w, self.iter().map(|k| (k, &())));
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        get_seq(r)
+    }
+}
+
+impl<K: Codec + Ord> Codec for BTreeSet<K> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        put_entries(w, self.iter().map(|k| (k, &())));
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        get_seq(r)
+    }
+}
+
+impl Codec for SimError {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match self {
+            SimError::Config(c) => {
+                w.put_u8(0);
+                w.put_str(c.message());
+            }
+            SimError::Fault { site, detail } => {
+                w.put_u8(1);
+                w.put_str(site);
+                w.put_str(detail);
+            }
+            SimError::IntegrityViolation { addr, detail } => {
+                w.put_u8(2);
+                w.put_u64(*addr);
+                w.put_str(detail);
+            }
+            SimError::LinkTimeout { attempts, detail } => {
+                w.put_u8(3);
+                w.put_u32(*attempts);
+                w.put_str(detail);
+            }
+            SimError::Protocol { detail } => {
+                w.put_u8(4);
+                w.put_str(detail);
+            }
+            SimError::StashOverflow {
+                occupancy,
+                capacity,
+            } => {
+                w.put_u8(5);
+                w.put_usize(*occupancy);
+                w.put_usize(*capacity);
+            }
+        }
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.get_u8()? {
+            0 => Ok(SimError::Config(ConfigError::new(r.get_str()?))),
+            1 => Ok(SimError::Fault {
+                site: r.get()?,
+                detail: r.get()?,
+            }),
+            2 => Ok(SimError::IntegrityViolation {
+                addr: r.get()?,
+                detail: r.get()?,
+            }),
+            3 => Ok(SimError::LinkTimeout {
+                attempts: r.get()?,
+                detail: r.get()?,
+            }),
+            4 => Ok(SimError::Protocol { detail: r.get()? }),
+            5 => Ok(SimError::StashOverflow {
+                occupancy: r.get()?,
+                capacity: r.get()?,
+            }),
+            tag => Err(SnapshotError::new(format!("unknown SimError tag {tag}"))),
+        }
     }
 }
 
@@ -751,22 +1058,22 @@ mod tests {
         ];
         for e in cases {
             let mut w = SnapshotWriter::new();
-            put_sim_error(&mut w, &e);
+            w.put(&e);
             let bytes = w.into_bytes();
             let mut r = SnapshotReader::new(&bytes);
-            assert_eq!(get_sim_error(&mut r).unwrap(), e);
+            assert_eq!(r.get::<SimError>().unwrap(), e);
             r.finish().unwrap();
         }
         // Optional form.
         for opt in [None, Some(SimError::protocol("x"))] {
             let mut w = SnapshotWriter::new();
-            put_opt_sim_error(&mut w, &opt);
+            w.put(&opt);
             let bytes = w.into_bytes();
-            assert_eq!(
-                get_opt_sim_error(&mut SnapshotReader::new(&bytes)).unwrap(),
-                opt
-            );
+            let back: Option<SimError> = SnapshotReader::new(&bytes).get().unwrap();
+            assert_eq!(back, opt);
         }
+        let err = SnapshotReader::new(&[6]).get::<SimError>().unwrap_err();
+        assert_eq!(err.kind(), SnapshotErrorKind::Malformed);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! execution time, average read/write memory latency, channel utilization —
 //! so the primitives here focus on cheap online accumulation.
 
+use crate::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::fmt;
 
 /// A saturating event counter.
@@ -177,82 +178,51 @@ impl Histogram {
     }
 }
 
-impl crate::snapshot::Snapshot for Counter {
-    fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        let Counter(v) = self;
-        w.put_u64(*v);
+impl Codec for Counter {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.0);
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.0 = r.get_u64()?;
-        Ok(())
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        r.get().map(Counter)
     }
 }
 
-impl crate::snapshot::Snapshot for RunningMean {
-    fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        let RunningMean {
-            sum,
-            count,
-            min,
-            max,
-        } = self;
-        w.put_f64(*sum);
-        w.put_u64(*count);
-        w.put_f64(*min);
-        w.put_f64(*max);
-    }
+crate::impl_codec!(RunningMean {
+    sum,
+    count,
+    min,
+    max
+});
 
-    fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        self.sum = r.get_f64()?;
-        self.count = r.get_u64()?;
-        self.min = r.get_f64()?;
-        self.max = r.get_f64()?;
-        Ok(())
-    }
-}
-
-impl crate::snapshot::Snapshot for Histogram {
-    fn save_state(&self, w: &mut crate::snapshot::SnapshotWriter) {
+impl Snapshot for Histogram {
+    fn save_state(&self, w: &mut SnapshotWriter) {
         let Histogram {
             bucket_width,
             buckets,
             overflow,
             total,
         } = self;
-        w.put_u64(*bucket_width);
-        w.put_usize(buckets.len());
-        for &b in buckets {
-            w.put_u64(b);
-        }
-        w.put_u64(*overflow);
-        w.put_u64(*total);
+        w.put(bucket_width);
+        w.put(buckets);
+        w.put(overflow);
+        w.put(total);
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<(), crate::snapshot::SnapshotError> {
-        let width = r.get_u64()?;
-        let len = r.get_usize()?;
-        if width != self.bucket_width || len != self.buckets.len() {
-            return Err(crate::snapshot::SnapshotError::new(format!(
-                "histogram layout mismatch: snapshot {len}x{width}, target {}x{}",
+    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let width: u64 = r.get()?;
+        let buckets: Vec<u64> = r.get()?;
+        if width != self.bucket_width || buckets.len() != self.buckets.len() {
+            return Err(SnapshotError::new(format!(
+                "histogram layout mismatch: snapshot {}x{width}, target {}x{}",
+                buckets.len(),
                 self.buckets.len(),
                 self.bucket_width
             )));
         }
-        for b in &mut self.buckets {
-            *b = r.get_u64()?;
-        }
-        self.overflow = r.get_u64()?;
-        self.total = r.get_u64()?;
+        self.buckets = buckets;
+        self.overflow = r.get()?;
+        self.total = r.get()?;
         Ok(())
     }
 }

@@ -1,6 +1,8 @@
 //! Trace records, in USIMM's spirit: each record is one main-memory access
 //! preceded by a number of non-memory instructions.
 
+use doram_sim::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
+
 /// Direction of a traced memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessOp {
@@ -27,6 +29,25 @@ impl TraceRecord {
         self.gap + 1
     }
 }
+
+impl Codec for AccessOp {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put_u8(match self {
+            AccessOp::Read => 0,
+            AccessOp::Write => 1,
+        });
+    }
+
+    fn get(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.get_u8()? {
+            0 => Ok(AccessOp::Read),
+            1 => Ok(AccessOp::Write),
+            tag => Err(SnapshotError::new(format!("bad access op tag {tag}"))),
+        }
+    }
+}
+
+doram_sim::impl_codec!(TraceRecord { gap, op, addr });
 
 #[cfg(test)]
 mod tests {
