@@ -10,7 +10,7 @@ use crate::packet::PacketKind;
 use doram_dram::{Completion, MemOp, MemRequest, SubChannel, SubChannelConfig};
 use doram_obs::SharedRecorder;
 use doram_sim::fault::{FaultCounts, FaultPlan};
-use doram_sim::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use doram_sim::snapshot::{self, Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{MemCycle, SimError};
 use std::collections::VecDeque;
 
@@ -340,7 +340,7 @@ impl Snapshot for BobChannel {
             mc_blame_res: _, // ditto
         } = self;
         link.save_state(w);
-        subs.save_state(w);
+        snapshot::save_each(subs, w);
         w.put(mc_pending);
         w.put(resp_pending);
         w.put(fault);
@@ -348,7 +348,7 @@ impl Snapshot for BobChannel {
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.link.load_state(r)?;
-        self.subs.load_state(r)?;
+        snapshot::load_each(&mut self.subs, r)?;
         self.mc_pending = r.get()?;
         self.resp_pending = r.get()?;
         self.fault = r.get()?;

@@ -13,7 +13,7 @@ use doram_dram::{
     Completion, EnergyBreakdown, EnergyParams, MemOp, MemRequest, RequestClass, ShareArbiter,
     SubChannel, SubChannelConfig,
 };
-use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use doram_sim::snapshot::{self, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{AppId, MemCycle, RequestId};
 
 /// Per-app base offset inside a channel's local address space; keeps apps
@@ -343,11 +343,11 @@ impl ChannelFabric {
 impl Snapshot for ChannelFabric {
     fn save_state(&self, w: &mut SnapshotWriter) {
         let ChannelFabric { channels } = self;
-        channels.save_state(w);
+        snapshot::save_each(channels, w);
     }
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.channels.load_state(r)
+        snapshot::load_each(&mut self.channels, r)
     }
 }
 

@@ -24,7 +24,7 @@ use doram_oram::plan::{BlockRef, Placement, PlanConfig};
 use doram_oram::verified::RecoveryPolicy;
 use doram_sim::fault::{FaultCounts, FaultInjector, FaultKind, FaultPlan};
 use doram_sim::health::{HealthMonitor, HealthPolicy, HealthState, HealthTransition};
-use doram_sim::snapshot::{Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use doram_sim::snapshot::{self, Codec, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::{AppId, MemCycle, RequestId, RequestIdGen, SimError};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -1600,8 +1600,8 @@ impl Snapshot for SdIntegrity {
         w.put(freshness_ops);
         w.put(freshness_cycles);
         injector.save_state(w);
-        sub_injectors.save_state(w);
-        health.save_state(w);
+        snapshot::save_each(sub_injectors, w);
+        snapshot::save_each(health, w);
         w.put(integrity_failures);
         w.put(refetches);
         w.put(recovery_cycles);
@@ -1655,8 +1655,8 @@ impl Snapshot for SdIntegrity {
             }
         }
         self.injector.load_state(r)?;
-        self.sub_injectors.load_state(r)?;
-        self.health.load_state(r)?;
+        snapshot::load_each(&mut self.sub_injectors, r)?;
+        snapshot::load_each(&mut self.health, r)?;
         self.integrity_failures = r.get()?;
         self.refetches = r.get()?;
         self.recovery_cycles = r.get()?;
@@ -1700,7 +1700,7 @@ impl Snapshot for SecureChannel {
             verify_blame_res: _, // ditto
         } = self;
         link.save_state(w);
-        subs.save_state(w);
+        snapshot::save_each(subs, w);
         fsm.save_state(w);
         w.put(mc_pending);
         w.put(resp_pending);
@@ -1722,7 +1722,7 @@ impl Snapshot for SecureChannel {
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.link.load_state(r)?;
-        self.subs.load_state(r)?;
+        snapshot::load_each(&mut self.subs, r)?;
         self.fsm.load_state(r)?;
         self.mc_pending = r.get()?;
         self.resp_pending = r.get()?;

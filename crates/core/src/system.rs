@@ -21,7 +21,7 @@ use doram_oram::split::SplitConfig;
 use doram_oram::tree::TreeGeometry;
 use doram_crypto::Cmac;
 use doram_sim::snapshot::{
-    checkpoint_auth_message, fnv1a64, read_checkpoint, write_atomic, write_checkpoint,
+    self, checkpoint_auth_message, fnv1a64, read_checkpoint, write_atomic, write_checkpoint,
     CheckpointData, Snapshot, SnapshotError, SnapshotErrorKind, SnapshotReader, SnapshotWriter,
 };
 use doram_sim::stats::{Histogram, RunningMean};
@@ -604,7 +604,7 @@ impl Snapshot for MemoryState {
         w.put(owners);
         w.put(ns_read_latency);
         w.put(ns_write_latency);
-        per_app_read_latency.as_slice().save_state(w);
+        snapshot::save_each(per_app_read_latency, w);
         ns_read_histogram.save_state(w);
         w.put(ready_reads);
     }
@@ -617,7 +617,7 @@ impl Snapshot for MemoryState {
         self.ns_write_latency = r.get()?;
         // The per-app count is configuration: load in place so a
         // mismatched checkpoint is rejected.
-        self.per_app_read_latency.as_mut_slice().load_state(r)?;
+        snapshot::load_each(&mut self.per_app_read_latency, r)?;
         self.ns_read_histogram.load_state(r)?;
         self.ready_reads = r.get()?;
         Ok(())
@@ -1104,7 +1104,7 @@ impl Simulation {
         } = self;
         let mut w = SnapshotWriter::new();
         w.put(cycle);
-        cores.save_state(&mut w);
+        snapshot::save_each(cores, &mut w);
         mem.save_state(&mut w);
         // The recorder travels with its ring capacity, which a resumed run
         // needs to rebuild it.
@@ -1130,7 +1130,7 @@ impl Simulation {
         } = self;
         let mut r = SnapshotReader::new(payload);
         *cycle = r.get()?;
-        cores.load_state(&mut r)?;
+        snapshot::load_each(cores, &mut r)?;
         mem.load_state(&mut r)?;
         if r.get()? {
             let capacity = r.get()?;
@@ -2295,6 +2295,13 @@ mod tests {
         let doram = |merge| sim(Scheme::DOram { k: 1, c: 4 }, merge);
         let err = restore(&doram(false), doram(true));
         assert!(err.contains("merge-buffer presence mismatch"), "{err}");
+        // Per-app accumulators are sized from the core count, which the
+        // core check above already pins; widen the target's by hand so the
+        // per-app check is the one that fires.
+        let mut wider = doram(false);
+        wider.mem.per_app_read_latency.push(RunningMean::new());
+        let err = restore(&doram(false), wider);
+        assert!(err.contains("RunningMean count mismatch"), "{err}");
         // The same layout restores.
         let mut same = doram(false);
         same.restore_payload(&doram(false).snapshot_payload())

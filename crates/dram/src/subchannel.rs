@@ -14,7 +14,7 @@ use crate::conformance::{CommandRecord, DeviceCommand};
 use crate::request::{Completion, MemOp, MemRequest, RequestClass};
 use crate::stats::SubChannelStats;
 use crate::timing::DramTiming;
-use doram_sim::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+use doram_sim::snapshot::{self, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use doram_sim::MemCycle;
 use std::collections::VecDeque;
 
@@ -781,7 +781,7 @@ impl Snapshot for SubChannel {
             last_burst_blame,
         } = self;
         cfg.arbiter.save_state(w);
-        banks.save_state(w);
+        snapshot::save_each(banks, w);
         w.put(read_q);
         w.put(write_q);
         w.put(in_flight);
@@ -804,7 +804,7 @@ impl Snapshot for SubChannel {
 
     fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.cfg.arbiter.load_state(r)?;
-        self.banks.load_state(r)?;
+        snapshot::load_each(&mut self.banks, r)?;
         self.read_q = r.get()?;
         self.write_q = r.get()?;
         self.in_flight = r.get()?;

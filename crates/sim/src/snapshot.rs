@@ -491,28 +491,31 @@ impl<T: Codec> Snapshot for T {
     }
 }
 
-/// A sequence of in-place components, encoded like a `Vec`: the count,
-/// then each element. The count is configuration, so a checkpoint whose
-/// count differs from the target's is rejected.
-impl<T: Snapshot> Snapshot for [T] {
-    fn save_state(&self, w: &mut SnapshotWriter) {
-        w.put_usize(self.len());
-        for item in self {
-            item.save_state(w);
-        }
+/// Saves a sequence of in-place components, encoded like a `Vec`: the
+/// count, then each element. Pair with [`load_each`].
+pub fn save_each<T: Snapshot>(items: &[T], w: &mut SnapshotWriter) {
+    w.put_usize(items.len());
+    for item in items {
+        item.save_state(w);
     }
+}
 
-    fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_usize()?;
-        if n != self.len() {
-            let what = std::any::type_name::<T>().rsplit("::").next().unwrap_or("");
-            return Err(SnapshotError::new(format!(
-                "{what} count mismatch: checkpoint has {n}, configuration builds {}",
-                self.len()
-            )));
-        }
-        self.iter_mut().try_for_each(|item| item.load_state(r))
+/// Restores a sequence written by [`save_each`] in place. The count is
+/// configuration, so a checkpoint whose count differs from the target's
+/// is rejected rather than resized to fit.
+pub fn load_each<T: Snapshot>(
+    items: &mut [T],
+    r: &mut SnapshotReader<'_>,
+) -> Result<(), SnapshotError> {
+    let n = r.get_usize()?;
+    if n != items.len() {
+        let what = std::any::type_name::<T>().rsplit("::").next().unwrap_or("");
+        return Err(SnapshotError::new(format!(
+            "{what} count mismatch: checkpoint has {n}, configuration builds {}",
+            items.len()
+        )));
     }
+    items.iter_mut().try_for_each(|item| item.load_state(r))
 }
 
 macro_rules! codec_via {

@@ -1,29 +1,23 @@
 #!/usr/bin/env bash
-# Times two commands interleaved (A, B, A, B, ...) and prints the best
-# wall time of each in milliseconds, as "A_MS B_MS".
+# Times two commands interleaved (A, B, A, B, ... five rounds) and prints
+# the best wall time of each in milliseconds, as "A_MS B_MS".
 #
 # Interleaving keeps a slow or fast stretch of a shared host from landing
 # on one side only, which running all of A before all of B would allow.
 #
-# Usage: scripts/time_ab.sh ROUNDS CMD_A [ARGS...] -- CMD_B [ARGS...]
+# Usage: scripts/time_ab.sh CMD_A [ARGS...] -- CMD_B [ARGS...]
 # Both commands' stdout is discarded; a failing command fails the script.
 set -euo pipefail
 
-usage() {
-  echo "usage: $0 ROUNDS CMD_A [ARGS...] -- CMD_B [ARGS...]" >&2
-  exit 2
-}
-
-[ $# -ge 4 ] || usage
-rounds=$1
-shift
-case $rounds in '' | *[!0-9]* | 0) usage ;; esac
 a=()
 while [ $# -gt 0 ] && [ "$1" != "--" ]; do
   a+=("$1")
   shift
 done
-[ $# -gt 1 ] && [ ${#a[@]} -gt 0 ] || usage
+if [ ${#a[@]} -eq 0 ] || [ $# -lt 2 ]; then
+  echo "usage: $0 CMD_A [ARGS...] -- CMD_B [ARGS...]" >&2
+  exit 2
+fi
 shift
 b=("$@")
 
@@ -37,7 +31,7 @@ run_ms() {
 
 best_a=""
 best_b=""
-for _ in $(seq "$rounds"); do
+for _ in 1 2 3 4 5; do
   run_ms "${a[@]}"
   if [ -z "$best_a" ] || [ "$elapsed" -lt "$best_a" ]; then best_a=$elapsed; fi
   run_ms "${b[@]}"
